@@ -1,6 +1,6 @@
 # Convenience targets for the Carpool reproduction.
 
-.PHONY: install test test-all bench bench-smoke bench-phy bench-mac bench-net bench-soak bench-scaling bench-compare check-memory soak-smoke examples clean
+.PHONY: install test test-all bench bench-smoke check-memory soak-smoke examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -14,37 +14,11 @@ test-all:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Fast structural check of both timing suites. Smoke output goes to a
-# temp dir (the CLI picks one) so the committed BENCH_*.json baselines
-# are never overwritten by tiny unrepresentative workloads.
+# Self-test of the benchmark (bench/, declared in BENCHMARK.json): every
+# workload runs at a tiny size and its outputs are checked, ~10 s. The
+# measured run itself is `python3 bench/run.py`.
 bench-smoke:
-	PYTHONPATH=src python -m repro bench --suite all --smoke
-
-# Full timing suites: regenerate the committed baselines in-place.
-bench-phy:
-	PYTHONPATH=src python -m repro bench --suite phy --out BENCH_phy.json
-
-bench-mac:
-	PYTHONPATH=src python -m repro bench --suite mac --out BENCH_mac.json
-
-bench-net:
-	PYTHONPATH=src python -m repro bench --suite net --out BENCH_net.json
-
-bench-soak:
-	PYTHONPATH=src python -m repro bench --suite soak --out BENCH_soak.json
-
-# Full suites with the speedup-vs-workers curves of every pool section
-# collected into one artifact (bench output goes to a temp dir).
-bench-scaling:
-	PYTHONPATH=src python -m repro bench --suite all \
-		--out-dir "$$(mktemp -d)" --scaling-out BENCH_scaling.json
-
-# Regression gate against the committed baselines: re-runs the full
-# suites into a temp dir (~30 s) and exits non-zero on a >20% drop in
-# any throughput metric. Smoke runs are NOT comparable to the committed
-# full-run baselines (different workloads), so this runs full.
-bench-compare:
-	PYTHONPATH=src python -m repro bench --suite all --out-dir "$$(mktemp -d)" --compare .
+	python -m pytest bench -q
 
 # Constant-memory gate: a sharded deployment sweep in a fresh process
 # must stay flat and under the committed RSS budget

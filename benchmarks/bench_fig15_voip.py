@@ -15,7 +15,7 @@ from repro.mac import (
     WifoxProtocol,
 )
 from repro.mac.scenarios import VoipScenario
-from repro.runtime import parallel_map
+from repro.runtime import run_trials
 
 PROTOCOLS = (Dot11Protocol, AmpduProtocol, MuAggregationProtocol,
              WifoxProtocol, CarpoolProtocol)
@@ -23,8 +23,8 @@ STA_COUNTS = (10, 14, 18, 22, 26, 30)
 DURATION = 8.0
 
 
-def _run_cell(cell):
-    n, cls = cell
+def _run_cell(index, rng, cells):
+    n, cls = cells[index]
     scenario = VoipScenario(num_stations=n, duration=DURATION)
     return (n, cls.name), scenario.run(cls)
 
@@ -32,9 +32,11 @@ def _run_cell(cell):
 def _run(n_workers=None):
     # Every (STA count, protocol) cell is an independent, self-seeded
     # simulation, so the sweep fans out over the worker pool (serial==
-    # parallel; set REPRO_WORKERS to scale).
+    # parallel; set REPRO_WORKERS to scale). The runner's per-trial RNG
+    # goes unused.
     cells = [(n, cls) for n in STA_COUNTS for cls in PROTOCOLS]
-    return dict(parallel_map(_run_cell, cells, n_workers=n_workers))
+    return dict(run_trials(_run_cell, len(cells), seed=0,
+                           n_workers=n_workers, args=(cells,)))
 
 
 def test_fig15_voip_goodput_latency(benchmark):

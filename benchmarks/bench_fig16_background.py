@@ -15,7 +15,7 @@ from repro.mac import (
     WifoxProtocol,
 )
 from repro.mac.scenarios import VoipScenario
-from repro.runtime import parallel_map
+from repro.runtime import run_trials
 
 PROTOCOLS = (Dot11Protocol, AmpduProtocol, MuAggregationProtocol,
              WifoxProtocol, CarpoolProtocol)
@@ -23,17 +23,19 @@ STA_COUNTS = (10, 16, 20, 25, 30)
 DURATION = 8.0
 
 
-def _run_cell(cell):
-    n, cls = cell
+def _run_cell(index, rng, cells):
+    n, cls = cells[index]
     scenario = VoipScenario(num_stations=n, duration=DURATION, with_background=True)
     return (n, cls.name), scenario.run(cls)
 
 
 def _run(n_workers=None):
     # Independent, self-seeded cells — identical results for any worker
-    # count (set REPRO_WORKERS to scale the sweep out over cores).
+    # count (set REPRO_WORKERS to scale the sweep out over cores). The
+    # runner's per-trial RNG goes unused.
     cells = [(n, cls) for n in STA_COUNTS for cls in PROTOCOLS]
-    return dict(parallel_map(_run_cell, cells, n_workers=n_workers))
+    return dict(run_trials(_run_cell, len(cells), seed=0,
+                           n_workers=n_workers, args=(cells,)))
 
 
 def test_fig16_background_traffic(benchmark):

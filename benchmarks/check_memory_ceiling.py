@@ -8,10 +8,8 @@ stay under a committed budget, so a regression that starts accumulating
 per-cell state in the parent fails CI even if it is "flat" at a higher
 level.
 
-The in-bench streaming section (``repro bench --suite net``) measures the
-same quantity opportunistically; this script is the authoritative check
-precisely because it starts from a fresh interpreter, so the recorded
-budget means something across runs.
+The script starts from a fresh interpreter, so the recorded budget means
+something across runs.
 
 Usage::
 
@@ -32,7 +30,7 @@ import tempfile
 
 # Platform-aware ru_maxrss -> MiB conversion lives in one place so the
 # committed absolute budgets mean the same thing on Linux and macOS.
-from repro.runtime.bench import peak_rss_mb
+from repro.obs.telemetry import rss_mb
 
 
 def run_curve(ap_counts, stas_per_ap, duration, shards, workers, seed):
@@ -53,7 +51,7 @@ def run_curve(ap_counts, stas_per_ap, duration, shards, workers, seed):
         )
         simulate_deployment(config, n_workers=workers, use_cache=False,
                             cache=cache, shards=shards)
-        curve[n_aps] = peak_rss_mb()
+        curve[n_aps] = rss_mb()
     shutdown_pools()
     return curve
 

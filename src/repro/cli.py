@@ -214,31 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument("--top", type=_positive_int, default=10,
                         help="profile function rows (default: 10)")
 
-    bench = sub.add_parser(
-        "bench", help="timing harness → BENCH_phy.json / BENCH_mac.json / BENCH_net.json")
-    bench.add_argument("--suite", choices=("phy", "mac", "net", "soak", "all"),
-                       default="phy",
-                       help="which benchmark suite to run (default: phy)")
-    bench.add_argument("--smoke", action="store_true",
-                       help="tiny workloads; validates the schema in seconds "
-                            "(output goes to a temp dir unless --out/--out-dir)")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (single suite only; default: "
-                            "BENCH_<suite>.json, temp dir in smoke mode)")
-    bench.add_argument("--out-dir", default=None,
-                       help="directory for BENCH_<suite>.json outputs")
-    bench.add_argument("--compare", metavar="BASELINE", default=None,
-                       help="baseline JSON file, or directory holding committed "
-                            "BENCH_<suite>.json files; exit 1 on regression")
-    bench.add_argument("--threshold", type=float, default=0.2,
-                       help="relative regression tolerance for --compare "
-                            "(default: 0.2 = 20%%)")
-    bench.add_argument("--workers", type=_positive_int, default=None,
-                       help="process count for the parallel legs (default: auto)")
-    bench.add_argument("--scaling-out", metavar="PATH", default=None,
-                       help="also write the speedup-vs-workers curves of every "
-                            "pool section to PATH as one JSON artifact")
-
     report = sub.add_parser(
         "report", help="render a JSONL trace into per-layer summary tables "
                        "(or, given a soak checkpoint directory, its status)")
@@ -413,100 +388,6 @@ def _cmd_net(args) -> int:
     return 0
 
 
-def _print_scaling(label: str, section: dict) -> None:
-    """One-line speedup curve of a pool section's ``scaling`` subsection."""
-    scaling = section.get("scaling")
-    if not scaling:
-        return
-    points = ", ".join(
-        f"{w}w x{body['speedup_vs_serial']:.2f}"
-        for w, body in sorted(scaling["workers"].items(), key=lambda kv: int(kv[0]))
-    )
-    print(f"{label}: {points} vs serial "
-          f"({scaling['serial_seconds']:.3f}s / {section.get('trials', section.get('aps'))} "
-          f"{scaling['unit']})")
-
-
-def _print_phy_bench(payload) -> None:
-    enc, vit = payload["encode"], payload["viterbi"]
-    rx, mc = payload["rx_chain"], payload["monte_carlo"]
-    print(f"encode     : {enc['mbit_per_s']:8.1f} Mbit/s "
-          f"({enc['seconds_per_frame'] * 1e3:.2f} ms / {enc['n_bits']}-bit frame)")
-    print(f"viterbi    : {vit['mbit_per_s']:8.1f} Mbit/s "
-          f"({vit['seconds_per_frame'] * 1e3:.2f} ms; "
-          f"{vit['speedup_vs_reference']:.1f}x reference; "
-          f"bit-exact={vit['bit_exact_vs_reference']})")
-    print(f"rx chain   : {rx['frames_per_s']:8.1f} frames/s "
-          f"({rx['payload_bytes']} B {rx['mcs']})")
-    print(f"monte carlo: {mc['serial_trials_per_s']:8.2f} trials/s serial, "
-          f"{mc['parallel_trials_per_s']:.2f} trials/s x{mc['parallel_workers']} "
-          f"workers (crossover={mc['crossover_workers']}, "
-          f"identical={mc['identical_serial_parallel']})")
-    _print_scaling("  scaling  ", mc)
-
-
-def _print_mac_bench(payload) -> None:
-    eng, sweep, pool = payload["engine"], payload["sweep"], payload["trials_pool"]
-    print(f"engine     : batched x{eng['speedup_batched']:.2f} vs scalar "
-          f"({eng['stations']} stations, {eng['runs']} runs; "
-          f"identical={eng['identical_metrics']})")
-    print(f"sweep      : batched+cached x{sweep['speedup']:.1f} vs "
-          f"scalar+uncached ({sweep['points']} points, "
-          f"{sweep['batched_cached_seconds']:.2f}s vs "
-          f"{sweep['scalar_uncached_seconds']:.2f}s; "
-          f"identical={sweep['identical_results']})")
-    print(f"trials pool: {pool['serial_trials_per_s']:8.2f} trials/s serial, "
-          f"{pool['parallel_trials_per_s']:.2f} trials/s "
-          f"x{pool['parallel_workers']} workers "
-          f"(crossover={pool['crossover_workers']}, "
-          f"identical={pool['identical_serial_parallel']})")
-    _print_scaling("  scaling  ", pool)
-
-
-def _print_net_bench(payload) -> None:
-    dep, rep = payload["deployment"], payload["replay"]
-    print(f"deployment : {dep['serial_cells_per_s']:8.2f} cells/s serial, "
-          f"{dep['parallel_cells_per_s']:.2f} cells/s "
-          f"x{dep['parallel_workers']} workers "
-          f"({dep['aps']} APs x {dep['stas_per_ap']} STAs, "
-          f"crossover={dep['crossover_workers']}, "
-          f"identical={dep['identical_serial_parallel']})")
-    _print_scaling("  scaling  ", dep)
-    print(f"replay     : cold {rep['cold_seconds']:.2f}s, "
-          f"warm cache hit {rep['warm_seconds'] * 1e3:.1f} ms "
-          f"(identical={rep['identical_cold_warm']})")
-    stream = payload.get("streaming")
-    if stream:
-        print(f"streaming  : IPC {stream['unsharded_ipc_bytes'] / 1e3:.1f} kB"
-              f" -> {stream['sharded_ipc_bytes'] / 1e3:.1f} kB "
-              f"(x{stream['ipc_reduction_factor']:.1f} reduced, "
-              f"{stream['shards']} shards); peak RSS "
-              f"{stream['small_peak_rss_mb']:.0f} -> "
-              f"{stream['large_peak_rss_mb']:.0f} MB over "
-              f"{stream['small_aps']} -> {stream['large_aps']} APs "
-              f"(identical={stream['identical_sharded_unsharded']})")
-
-
-def _print_soak_bench(payload) -> None:
-    sus, res = payload["sustained"], payload["resume"]
-    print(f"sustained  : {sus['frames_per_s']:8.1f} frames/s over "
-          f"{sus['epochs']} epochs x{sus['shards']} shards "
-          f"({sus['cumulative_users']} users; RSS "
-          f"{sus['warm_peak_rss_mb']:.0f} -> {sus['end_peak_rss_mb']:.0f} MB, "
-          f"x{sus['rss_growth_factor']:.2f} <= "
-          f"x{sus['rss_growth_threshold']:.2f}: {sus['rss_flat_ok']})")
-    tel = payload.get("telemetry")
-    if tel:
-        print(f"telemetry  : x{tel['overhead_factor']:.3f} overhead "
-              f"(<= x{tel['overhead_threshold']:.2f}: {tel['overhead_ok']}; "
-              f"{tel['telemetry_records']} records, "
-              f"health {tel['health_status']})")
-    print(f"resume     : kill at epoch {res['resume_epoch']}/{res['epochs']}, "
-          f"bit-identical={res['identical_resume']}"
-          + (f", telemetry={res['identical_telemetry']}"
-             if "identical_telemetry" in res else ""))
-
-
 def _cmd_soak(args) -> int:
     from repro.serve import SoakConfig, SoakWorkload, run_soak
 
@@ -558,87 +439,6 @@ def _cmd_soak(args) -> int:
           f"{summary.checkpoint_dir}"
           f"{' [interrupted: resumable]' if summary.interrupted else ''}")
     return 0
-
-
-def _cmd_bench(args) -> int:
-    import json
-    import os
-    import tempfile
-
-    from repro.runtime.bench import (
-        compare_bench,
-        run_mac_bench,
-        run_net_bench,
-        run_phy_bench,
-        run_soak_bench,
-    )
-
-    suites = (("phy", "mac", "net", "soak") if args.suite == "all"
-              else (args.suite,))
-    if args.out and len(suites) > 1:
-        print("--out takes a single suite; use --out-dir with --suite all",
-              file=sys.stderr)
-        return 2
-
-    out_dir = args.out_dir
-    if out_dir is None and args.out is None:
-        # Smoke runs exercise the code paths, not the machine: never let
-        # them overwrite the committed full-run baselines in-place.
-        out_dir = tempfile.mkdtemp(prefix="repro-bench-") if args.smoke else os.getcwd()
-
-    runners = {"phy": run_phy_bench, "mac": run_mac_bench,
-               "net": run_net_bench, "soak": run_soak_bench}
-    printers = {"phy": _print_phy_bench, "mac": _print_mac_bench,
-                "net": _print_net_bench, "soak": _print_soak_bench}
-    status = 0
-    scaling_curves = {}
-    for suite in suites:
-        out_path = args.out or os.path.join(out_dir, f"BENCH_{suite}.json")
-        if not os.path.isdir(os.path.dirname(os.path.abspath(out_path))):
-            print(f"output directory does not exist: {out_path}", file=sys.stderr)
-            return 2
-        payload = runners[suite](smoke=args.smoke, n_workers=args.workers,
-                                 out_path=out_path)
-        print(f"--- {suite} suite ---")
-        printers[suite](payload)
-        for section, body in payload.items():
-            if isinstance(body, dict) and "scaling" in body:
-                scaling_curves[f"{suite}.{section}"] = {
-                    "crossover_workers": body.get("crossover_workers"),
-                    **body["scaling"],
-                }
-        obs = payload.get("observability")
-        if obs:
-            print(f"obs        : pools {obs['pool_spawned']} spawned / "
-                  f"{obs['pool_reused']} reused, cache {obs['cache_hits']} "
-                  f"hits / {obs['cache_misses']} misses, "
-                  f"{obs['chunk_retries']} chunk retries")
-        print(f"wrote {out_path}")
-        if not args.compare:
-            continue
-        baseline_path = args.compare
-        if os.path.isdir(baseline_path):
-            baseline_path = os.path.join(baseline_path, f"BENCH_{suite}.json")
-        if not os.path.isfile(baseline_path):
-            print(f"no {suite} baseline at {baseline_path}; skipping compare")
-            continue
-        with open(baseline_path) as handle:
-            baseline = json.load(handle)
-        regressions = compare_bench(payload, baseline, threshold=args.threshold)
-        if regressions:
-            status = 1
-            for line in regressions:
-                print(f"REGRESSION [{suite}] {line}", file=sys.stderr)
-        else:
-            print(f"no regression vs {baseline_path} "
-                  f"(threshold {args.threshold:.0%})")
-    if args.scaling_out:
-        with open(args.scaling_out, "w") as handle:
-            json.dump({"smoke": args.smoke, "curves": scaling_curves},
-                      handle, indent=2)
-            handle.write("\n")
-        print(f"wrote scaling curves to {args.scaling_out}")
-    return status
 
 
 def _cmd_report(args) -> int:
@@ -767,8 +567,6 @@ def _dispatch(args) -> int:
         return _cmd_net(args)
     if args.command == "soak":
         return _cmd_soak(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "report":
         return _cmd_report(args)
     if args.command == "status":

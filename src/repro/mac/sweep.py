@@ -22,9 +22,6 @@ the three layers the rest of this package provides:
   ``shared=`` payload, and the worker pool is reused across sweeps. The
   per-cell seeds are derived exactly as the old cell-at-a-time fan-out
   derived them, so flattening changes wall time only, never results.
-
-``repro.runtime.bench.run_mac_bench`` times this sweep both ways
-(batched+cached vs scalar+uncached) and asserts the results agree.
 """
 
 from __future__ import annotations

@@ -794,9 +794,10 @@ def simulate_deployment(
         seed = derive_seed(config.seed, "net-cells")
         if streaming:
             with metrics().timer("net.build_specs").time():
-                # The parent builds the plan once too — for timeline
-                # statistics and handoff events — but never the spec list.
-                plan = _deployment_plan(config)
+                # The parent needs the plan too — for timeline statistics
+                # and handoff events — but never the spec list. Going
+                # through the memo lets an in-process trial source reuse it.
+                plan = _plan_for(config)
             _emit_handoffs(config, plan.timeline)
             with metrics().timer("net.run_cells").time():
                 agg = run_trials(

@@ -33,7 +33,6 @@ __all__ = [
 FAULT_EVENT_NAMES = frozenset({
     "ahdr_miss", "ahdr_false_match", "ack_desync",
     "rte_reject", "rte_recover",
-    "chunk_retry", "chunk_salvage", "chunk_failed",
 })
 
 #: Fallback protocol state transitions.

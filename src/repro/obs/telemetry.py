@@ -90,10 +90,8 @@ def fault_occupancy(schedule: dict, epoch_duration: float) -> float:
 def rss_mb() -> float:
     """Parent-process peak RSS in MiB (the ``wall.rss_mb`` sample).
 
-    Same unit normalisation as ``repro.runtime.bench.peak_rss_mb`` —
-    ``ru_maxrss`` is kilobytes on Linux, bytes on macOS — duplicated here
-    rather than imported because the bench module pulls the whole suite
-    in, and telemetry must stay import-light on the hot service path.
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; normalising
+    here keeps absolute RSS budgets comparable across platforms.
     """
     import resource
     import sys

@@ -11,7 +11,7 @@ The recorder emits typed JSONL events::
   based). Omitted entirely in *deterministic* mode so traces from
   identical seeded runs are byte-identical regardless of wall time or
   worker count.
-* ``layer``/``event`` — dotted taxonomy (``phy.crc``, ``runtime.chunk_retry``).
+* ``layer``/``event`` — dotted taxonomy (``phy.crc``, ``runtime.cache_hit``).
 * ``cid`` — correlation id, set via :meth:`TraceRecorder.correlate`; trial
   ids come from :func:`trial_correlation_id`, which derives from the run
   seed and the trial's ``SeedSequence`` spawn position — never from

@@ -1,18 +1,12 @@
 """Shared parallel-execution runtime for Monte-Carlo experiments.
 
 ``repro.runtime.trials`` provides the seeded, chunked trial runner every
-BER sweep and MAC scenario sweep goes through — with persistent worker
-pools, initializer-shipped shared payloads, and probe-based chunk
-autotuning. ``repro.runtime.cache`` is the keyed, process-safe result
-cache expensive sweep inputs (PHY calibration) go through.
-``repro.runtime.bench`` is the performance-regression harness that emits
-``BENCH_phy.json`` / ``BENCH_mac.json`` and diffs runs against committed
-baselines.
-
-``bench`` is intentionally *not* imported here: it depends on
-``repro.analysis``, which itself runs trials through this package.
-Import it explicitly as ``repro.runtime.bench`` (or via the
-``python -m repro bench`` CLI).
+BER sweep, MAC scenario sweep and deployment goes through — with
+persistent worker pools, initializer-shipped shared payloads, and
+probe-based chunk autotuning. ``repro.runtime.cache`` is the keyed,
+process-safe result cache expensive sweep inputs (PHY calibration) go
+through, and ``repro.runtime.reduction`` holds the exactly-associative
+accumulators workers fold their chunks into before IPC.
 """
 
 from repro.runtime.cache import (
@@ -28,17 +22,8 @@ from repro.runtime.reduction import (
     MergeableHistogram,
     StreamMoments,
 )
-from repro.runtime.shm import (
-    SharedPayload,
-    pack_payload,
-    payload_fingerprint,
-    shm_supported,
-)
 from repro.runtime.trials import (
-    ChunkFailure,
-    TrialRunResult,
     autotune_chunk_size,
-    parallel_map,
     persistent_pool,
     resolve_workers,
     run_trials,
@@ -48,26 +33,19 @@ from repro.runtime.trials import (
 )
 
 __all__ = [
-    "ChunkFailure",
     "ExactSum",
     "MergeableHistogram",
     "ResultCache",
-    "SharedPayload",
     "StreamMoments",
-    "TrialRunResult",
     "autotune_chunk_size",
     "cache_enabled",
     "code_fingerprint",
     "content_key",
     "default_cache_dir",
-    "pack_payload",
-    "parallel_map",
-    "payload_fingerprint",
     "persistent_pool",
     "resolve_workers",
     "run_trials",
     "shared_payload",
-    "shm_supported",
     "shutdown_pools",
     "stable_digest",
     "trial_rngs",

@@ -13,18 +13,14 @@ shared runtime those sweeps go through:
   ``REPRO_WORKERS`` or ``os.cpu_count()``. ``n_workers=1`` (or a single
   trial) short-circuits to a plain loop with zero pool overhead.
 * **Pool persistence** — worker pools are kept alive and reused across
-  :func:`run_trials` / :func:`parallel_map` calls, keyed by worker count
-  and a *content fingerprint* of the shared payload
+  :func:`run_trials` calls, keyed by worker count and a *content
+  fingerprint* of the shared payload
   (:func:`repro.runtime.cache.stable_digest`): an equal re-created
   payload maps back onto the warm pool, distinct payloads can never
-  alias one. ``reuse_pool=False`` restores the old per-call pools;
-  :func:`shutdown_pools` tears everything down.
-* **Zero-copy shared tables** — pass ``shared=...`` to ship one payload
-  to every worker; numpy-array payloads travel through one
-  ``multiprocessing.shared_memory`` segment (:mod:`repro.runtime.shm`)
-  and are rebuilt in each worker as read-only views — no per-worker
-  pickle copy. Non-array or tiny payloads fall back to the pool
-  initializer pickle. Trial functions read the payload back with
+  alias one. :func:`shutdown_pools` tears everything down.
+* **Shared tables** — pass ``shared=...`` to ship one payload to every
+  worker through the pool initializer (forked workers inherit it without
+  a pickle). Trial functions read the payload back with
   :func:`shared_payload` on every path, serial included.
 * **Batched chunks** — pass ``batch_fn=...`` to run a whole chunk of
   trials as *one* vectorised call instead of N scalar calls. The batch
@@ -51,15 +47,12 @@ shared runtime those sweeps go through:
   function then receives the item as ``fn(index, rng, item, *args)``.
 * **IPC accounting** — when metrics are being collected, the parent
   counts the pickled size of every chunk result it receives under
-  ``runtime.ipc_result_bytes``, which is how the bench proves reduction
-  actually shrinks the pipe traffic.
+  ``runtime.ipc_result_bytes``, which is how reduction is shown to shrink
+  the pipe traffic.
 * **Chunk autotuning** — ``chunk_size="auto"`` measures the actual
   round-trip cost of a pool submission (cached per pool) plus a short
   serial probe of the trial cost, and picks the smallest chunk that
   keeps IPC overhead to a few percent of useful work.
-* **Generality** — :func:`parallel_map` gives the same chunked, ordered
-  semantics for non-trial workloads (e.g. the MAC scenario sweeps, where
-  each item is one ``(scenario, protocol)`` cell).
 
 The trial function and its extra arguments must be picklable (a module-level
 function, not a lambda or closure).
@@ -72,11 +65,10 @@ import multiprocessing
 import os
 import pickle
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +84,7 @@ from ..obs.trace import (
     trial_correlation_id,
     worker_spec,
 )
-from .shm import SharedPayload, pack_payload, payload_fingerprint
+from .cache import stable_digest
 
 log = get_logger(__name__)
 
@@ -100,68 +92,11 @@ __all__ = [
     "resolve_workers",
     "trial_rngs",
     "run_trials",
-    "parallel_map",
     "autotune_chunk_size",
     "persistent_pool",
     "shared_payload",
     "shutdown_pools",
-    "ChunkFailure",
-    "TrialRunResult",
 ]
-
-
-@dataclass(frozen=True)
-class ChunkFailure:
-    """One chunk of trials that could not be completed."""
-
-    start: int
-    stop: int
-    attempts: int
-    error: str
-
-    @property
-    def n_trials(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass
-class TrialRunResult:
-    """Salvaged outcome of a hardened :func:`run_trials` run.
-
-    ``results`` has one slot per trial, in trial order; trials belonging to
-    a failed chunk hold ``None``. ``failures`` summarises every chunk that
-    exhausted its retries.
-    """
-
-    results: list
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def n_completed(self) -> int:
-        return sum(r is not None for r in self.results)
-
-    @property
-    def n_failed(self) -> int:
-        return sum(f.n_trials for f in self.failures)
-
-    def completed(self) -> list:
-        """The successful results only (order preserved)."""
-        return [r for r in self.results if r is not None]
-
-    def failure_summary(self) -> str:
-        """One line per failed chunk, for logs and error reports."""
-        if not self.failures:
-            return "all chunks completed"
-        lines = [
-            f"trials {f.start}..{f.stop - 1} failed after {f.attempts} "
-            f"attempt(s): {f.error}"
-            for f in self.failures
-        ]
-        return "\n".join(lines)
 
 
 def resolve_workers(n_workers: int | None = None) -> int:
@@ -215,12 +150,9 @@ def _chunk_spans(n: int, chunk_size: int) -> list:
 
 @dataclass
 class _PoolEntry:
-    """One registered persistent pool and the payload state it was built on."""
+    """One registered persistent pool and its measured IPC cost."""
 
     pool: ProcessPoolExecutor
-    shared: object
-    descriptor: SharedPayload | None
-    fingerprint: str | None
     ipc_seconds: float | None = None
 
 
@@ -233,27 +165,14 @@ class _PoolEntry:
 _POOLS: dict = {}
 
 # The worker-side (and serial-path) shared payload, set per worker by the
-# pool initializer instead of being pickled into every chunk. _SHARED_TOKEN
-# pins the SharedPayload descriptor (and its attached segment) for as long
-# as the materialised views are in use.
+# pool initializer instead of being pickled into every chunk.
 _SHARED = None
-_SHARED_TOKEN = None
 
 
-def _init_worker(token) -> None:
-    """Pool initializer: stash the shared read-only payload in the worker.
-
-    ``token`` is either the payload itself (plain-pickle fallback) or a
-    :class:`~repro.runtime.shm.SharedPayload` descriptor, in which case
-    the worker attaches the segment and rebuilds zero-copy views.
-    """
-    global _SHARED, _SHARED_TOKEN
-    if isinstance(token, SharedPayload):
-        _SHARED_TOKEN = token
-        _SHARED = token.materialize()
-    else:
-        _SHARED_TOKEN = None
-        _SHARED = token
+def _init_worker(shared) -> None:
+    """Pool initializer: stash the shared read-only payload in the worker."""
+    global _SHARED
+    _SHARED = shared
 
 
 def shared_payload():
@@ -261,8 +180,7 @@ def shared_payload():
 
     Trial functions call this instead of taking big read-only tables
     through ``args`` — the payload crosses the process boundary once per
-    worker (at pool start-up, as shared-memory views where possible)
-    rather than once per chunk.
+    worker (at pool start-up) rather than once per chunk.
     """
     return _SHARED
 
@@ -298,7 +216,7 @@ def persistent_pool(n_workers: int, shared=None) -> ProcessPoolExecutor:
     per configuration instead of once per ``run_trials`` call.
     """
     global _SHARED
-    fingerprint = payload_fingerprint(shared) if shared is not None else None
+    fingerprint = stable_digest(shared) if shared is not None else None
     key = (n_workers, fingerprint)
     entry = _POOLS.get(key)
     if entry is not None:
@@ -311,44 +229,47 @@ def persistent_pool(n_workers: int, shared=None) -> ProcessPoolExecutor:
     if shared is not None:
         # A *different* payload at this worker count: the old pool's
         # workers were initialised with the previous tables, so retire it
-        # (and unlink its segment) instead of accumulating one pool and
-        # one shm segment per historical payload.
+        # instead of accumulating one pool per historical payload.
         for stale in [k for k in _POOLS if k[0] == n_workers and k[1] is not None]:
             _retire_entry(stale)
-    descriptor = None
     if shared is None:
         pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=_mp_context())
     else:
-        descriptor = pack_payload(shared)
-        if descriptor is not None:
-            metrics().counter("runtime.shm_payloads").inc()
-        token = descriptor if descriptor is not None else shared
         pool = ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=_mp_context(),
             initializer=_init_worker,
-            initargs=(token,),
+            initargs=(shared,),
         )
         # With fork, workers inherit parent globals at spawn time; setting
         # the parent-side payload too keeps shared_payload() consistent
         # everywhere (and serves the n_workers=1 serial path).
         _SHARED = shared
-    _POOLS[key] = _PoolEntry(pool=pool, shared=shared, descriptor=descriptor,
-                             fingerprint=fingerprint)
+    _POOLS[key] = _PoolEntry(pool=pool)
     metrics().counter("runtime.pool_spawned").inc()
-    log.debug("spawned persistent pool: %d workers, shared=%s, shm=%s",
-              n_workers, shared is not None, descriptor is not None)
+    log.debug("spawned persistent pool: %d workers, shared=%s",
+              n_workers, shared is not None)
     return pool
 
 
 def _retire_entry(key) -> None:
-    """Drop one registry entry: tear the pool down, unlink its segment."""
+    """Drop one registry entry and tear its pool down."""
     entry = _POOLS.pop(key, None)
-    if entry is None:
-        return
-    _abandon_pool(entry.pool)
-    if entry.descriptor is not None:
-        entry.descriptor.release()
+    if entry is not None:
+        _abandon_pool(entry.pool)
+
+
+def _abandon_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a (possibly wedged) pool down without waiting on its workers."""
+    pool.shutdown(wait=False, cancel_futures=True)
+    # shutdown() does not interrupt a hung or crashed worker; terminate
+    # whatever processes are left so they cannot linger past the run.
+    processes = getattr(pool, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.terminate()
+        except Exception:  # pragma: no cover - defensive
+            pass
 
 
 def _discard_pool(pool: ProcessPoolExecutor) -> None:
@@ -362,12 +283,11 @@ def _discard_pool(pool: ProcessPoolExecutor) -> None:
 
 def shutdown_pools() -> None:
     """Shut down every persistent pool (registered atexit)."""
-    global _SHARED, _SHARED_TOKEN
+    global _SHARED
     for key in list(_POOLS):
         _retire_entry(key)
     _POOLS.clear()
     _SHARED = None
-    _SHARED_TOKEN = None
 
 
 atexit.register(shutdown_pools)
@@ -378,8 +298,7 @@ atexit.register(shutdown_pools)
 # --------------------------------------------------------------------------- #
 
 # Fallback per-submission IPC cost when no live pool is available to
-# measure (disposable pools, hardened runs): a conservative figure for a
-# local fork-start executor.
+# measure: a conservative figure for a local fork-start executor.
 _DEFAULT_IPC_SECONDS = 2e-3
 
 
@@ -466,7 +385,7 @@ def autotune_chunk_size(
 
 def _measured_ipc(n_workers: int, shared) -> float | None:
     """IPC cost of the persistent pool serving ``(n_workers, shared)``."""
-    fingerprint = payload_fingerprint(shared) if shared is not None else None
+    fingerprint = stable_digest(shared) if shared is not None else None
     pool = persistent_pool(n_workers, shared=shared)
     try:
         return _pool_ipc_seconds(pool, _POOLS.get((n_workers, fingerprint)))
@@ -595,8 +514,8 @@ def _count_ipc_result(raw) -> None:
     """Charge one received chunk result to ``runtime.ipc_result_bytes``.
 
     Only measured while metrics are being collected: re-pickling the
-    result is pure overhead otherwise, and the counter exists for the
-    bench and observability reports, not for steady-state runs. The
+    result is pure overhead otherwise, and the counter exists for
+    observability reports, not for steady-state runs. The
     pickled size of what crossed the pipe is re-measured parent-side —
     equivalent to what the executor shipped, without reaching into it.
     """
@@ -660,161 +579,6 @@ def _consume_futures(futures, spans, reduce_fn, reduce_init, merge_fn):
     return acc
 
 
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a (possibly wedged) pool down without waiting on its workers."""
-    pool.shutdown(wait=False, cancel_futures=True)
-    # shutdown() does not interrupt a hung or crashed worker; terminate
-    # whatever processes are left so they cannot linger past the run.
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - defensive
-            pass
-
-
-def _retry_chunk_isolated(fn, seed, n_trials, start, stop, args,
-                          chunk_timeout, attempts_left, obs_spec=None,
-                          shared_token=None, batch_fn=None, trial_source=None):
-    """Re-run one chunk in fresh single-worker pools until it succeeds.
-
-    Each attempt gets its own process, so a crash or hang cannot take other
-    chunks down with it. The chunk recomputes the same ``SeedSequence``
-    children as the original submission, so a retry is bit-identical to a
-    first-time success. ``shared_token`` (payload or shm descriptor) is
-    re-shipped through each fresh pool's initializer; the descriptor's
-    segment stays owned — and is eventually unlinked — by the parent.
-
-    Returns (results | None, attempts_used, last_error).
-    """
-    attempt = 0
-    error = "never attempted"
-    init = ((_init_worker, (shared_token,)) if shared_token is not None
-            else (None, ()))
-    while attempt < attempts_left:
-        attempt += 1
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=_mp_context(),
-                                   initializer=init[0], initargs=init[1])
-        try:
-            future = pool.submit(_run_trial_chunk, fn, seed, n_trials,
-                                 start, stop, args, obs_spec, batch_fn,
-                                 trial_source)
-            results = ingest_chunk(future.result(timeout=chunk_timeout))
-            pool.shutdown(wait=False)
-            return results, attempt, None
-        except FutureTimeout:
-            error = f"timed out after {chunk_timeout}s"
-        except BrokenProcessPool:
-            error = "worker process died (BrokenProcessPool)"
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        finally:
-            _abandon_pool(pool)
-    return None, attempt, error
-
-
-def _run_trials_hardened(fn, n_trials, seed, n_workers, chunk_size, args,
-                         chunk_timeout, max_chunk_retries, shared=None,
-                         batch_fn=None, trial_source=None):
-    """Disposable-pool fast path with per-chunk isolated retries on failure."""
-    spans = _chunk_spans(n_trials, chunk_size)
-    results: list = [None] * n_trials
-    pending: list = []  # (start, stop, first_error)
-    rec = active_recorder()
-    descriptor = None
-    shared_token = None
-
-    try:
-        if n_workers == 1:
-            # Serial: no pool to time out; catch per-chunk exceptions only.
-            for start, stop in spans:
-                try:
-                    results[start:stop] = _run_trial_chunk(
-                        fn, seed, n_trials, start, stop, args, None, batch_fn,
-                        trial_source,
-                    )
-                except Exception:
-                    pending.append(
-                        (start, stop, traceback.format_exc(limit=1).strip()))
-        else:
-            if shared is not None:
-                # Pack once; the descriptor is re-shipped to the disposable
-                # pool and to every isolated retry pool, and unlinked in
-                # the outer finally even when chunks fail.
-                descriptor = pack_payload(shared)
-                shared_token = descriptor if descriptor is not None else shared
-            init = ((_init_worker, (shared_token,)) if shared is not None
-                    else (None, ()))
-            spec = worker_spec()
-            workers = min(n_workers, len(spans))
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=_mp_context(),
-                                       initializer=init[0], initargs=init[1])
-            metrics().counter("runtime.pool_spawned").inc()
-            abandoned = False
-            try:
-                futures = [
-                    (start, stop,
-                     pool.submit(_run_trial_chunk, fn, seed, n_trials,
-                                 start, stop, args, spec, batch_fn,
-                                 trial_source))
-                    for start, stop in spans
-                ]
-                for start, stop, future in futures:
-                    if abandoned:
-                        pending.append((start, stop, "pool abandoned"))
-                        continue
-                    try:
-                        raw = future.result(timeout=chunk_timeout)
-                        _count_ipc_result(raw)
-                        results[start:stop] = ingest_chunk(raw)
-                    except FutureTimeout:
-                        # A wedged worker poisons every later wait: abandon
-                        # the pool and sort the rest out in isolation.
-                        pending.append(
-                            (start, stop, f"timed out after {chunk_timeout}s"))
-                        abandoned = True
-                    except BrokenProcessPool:
-                        pending.append((start, stop, "worker process died"))
-                        abandoned = True
-                    except Exception as exc:
-                        pending.append(
-                            (start, stop, f"{type(exc).__name__}: {exc}"))
-            finally:
-                _abandon_pool(pool)
-
-        failures: list = []
-        for start, stop, first_error in pending:
-            metrics().counter("runtime.chunk_retries").inc()
-            if rec is not None:
-                rec.emit("runtime", "chunk_retry", start=start, stop=stop,
-                         error=first_error)
-            log.warning("retrying trials %d..%d in isolation: %s",
-                        start, stop - 1, first_error)
-            chunk, attempts, error = _retry_chunk_isolated(
-                fn, seed, n_trials, start, stop, args,
-                chunk_timeout, max_chunk_retries, worker_spec(),
-                shared_token, batch_fn, trial_source,
-            )
-            if chunk is not None:
-                results[start:stop] = chunk
-            else:
-                metrics().counter("runtime.chunks_failed").inc()
-                if rec is not None:
-                    rec.emit("runtime", "chunk_failed", start=start, stop=stop,
-                             attempts=1 + attempts, error=error or first_error)
-                log.error("trials %d..%d lost after %d attempt(s): %s",
-                          start, stop - 1, 1 + attempts, error or first_error)
-                failures.append(ChunkFailure(
-                    start=start, stop=stop, attempts=1 + attempts,
-                    error=error or first_error,
-                ))
-        return TrialRunResult(results=results, failures=failures)
-    finally:
-        if descriptor is not None:
-            descriptor.release()
-
-
 def run_trials(
     fn,
     n_trials: int,
@@ -823,10 +587,6 @@ def run_trials(
     n_workers: int | None = None,
     chunk_size: int | str | None = None,
     args: tuple = (),
-    chunk_timeout: float | None = None,
-    max_chunk_retries: int = 2,
-    salvage: bool = False,
-    reuse_pool: bool = True,
     shared=None,
     batch_fn=None,
     granularity: int = 1,
@@ -849,25 +609,8 @@ def run_trials(
             cost of the live pool plus a quick serial timing probe
             (:func:`autotune_chunk_size`).
         args: Extra (picklable) positional arguments passed to every trial.
-        chunk_timeout: Seconds to wait on one chunk before declaring it
-            hung (parallel runs only; a serial run cannot be interrupted).
-            Enables the hardened path: the shared pool is abandoned on the
-            first timeout/crash and surviving chunks retry in isolated
-            single-worker pools.
-        max_chunk_retries: Isolated retry attempts per failed chunk (each
-            recomputes the identical ``SeedSequence`` children, so a retry
-            changes nothing statistically).
-        salvage: Return a :class:`TrialRunResult` carrying partial results
-            and a failure report instead of raising when chunks are lost.
-        reuse_pool: Keep the worker pool alive for the next call (fast
-            path only; the hardened path always uses disposable pools it
-            can abandon). Chunking never affects results, so reuse is
-            invisible except in wall time.
-        shared: Optional read-only payload shipped to each worker once;
-            numpy arrays inside travel through a shared-memory segment
-            and come back as zero-copy read-only views
-            (:mod:`repro.runtime.shm`), everything else through the pool
-            initializer pickle. Trial functions retrieve it with
+        shared: Optional read-only payload shipped to each worker once,
+            through the pool initializer. Trial functions retrieve it with
             :func:`shared_payload`. Serial runs see it too.
         batch_fn: Optional vectorised executor
             ``(start_index, rngs, *args) -> sequence of per-trial
@@ -886,9 +629,7 @@ def run_trials(
             instead of a results list. Traced runs ship per-trial results
             as usual and the parent folds — identical by construction
             when the accumulator is *exactly associative*
-            (:mod:`repro.runtime.reduction`). Incompatible with the
-            hardened path (``salvage`` / ``chunk_timeout``), whose
-            retry bookkeeping needs per-trial slots.
+            (:mod:`repro.runtime.reduction`).
         reduce_init: Picklable zero-argument factory for a fresh
             accumulator (required with ``reduce_fn``).
         merge_fn: Optional ``(acc_a, acc_b) -> merged`` used by the
@@ -902,80 +643,50 @@ def run_trials(
 
     Returns:
         ``[fn(0, rng0, *args), ..., fn(n_trials-1, ...)]`` — identical for
-        every worker count. With ``salvage=True`` a
-        :class:`TrialRunResult` wrapping the same list (lost trials
-        ``None``). With ``reduce_fn`` the merged accumulator.
-
-    Raises:
-        RuntimeError: A chunk exhausted its retries and ``salvage`` is off
-            (only possible when the hardened path is active).
+        every worker count. With ``reduce_fn`` the merged accumulator.
     """
     with metrics().timer("runtime.run_trials").time():
-        return _run_trials_impl(
-            fn, n_trials, seed=seed, n_workers=n_workers,
-            chunk_size=chunk_size, args=args, chunk_timeout=chunk_timeout,
-            max_chunk_retries=max_chunk_retries, salvage=salvage,
-            reuse_pool=reuse_pool, shared=shared, batch_fn=batch_fn,
-            granularity=granularity, reduce_fn=reduce_fn,
-            reduce_init=reduce_init, merge_fn=merge_fn,
-            trial_source=trial_source,
-        )
+        if n_trials < 0:
+            raise ValueError(f"n_trials must be >= 0, got {n_trials}")
+        reducing = reduce_fn is not None
+        if reducing and reduce_init is None:
+            raise ValueError(
+                "reduce_fn requires reduce_init (accumulator factory)")
+        if reduce_init is not None and not reducing:
+            raise ValueError("reduce_init without reduce_fn does nothing")
+        if n_trials == 0:
+            return reduce_init() if reducing else []
+        granularity = max(1, int(granularity))
+        n_workers = resolve_workers(n_workers)
 
+        with _payload_installed(shared):
+            if chunk_size == "auto":
+                ipc = None
+                if n_workers > 1 and n_trials > 1:
+                    ipc = _measured_ipc(n_workers, shared)
+                chunk_size = autotune_chunk_size(
+                    fn, n_trials, seed=seed, n_workers=n_workers, args=args,
+                    granularity=granularity, ipc_seconds=ipc,
+                    trial_source=trial_source,
+                )
+            elif chunk_size is not None:
+                chunk_size = _round_up(max(1, int(chunk_size)), granularity)
 
-def _run_trials_impl(fn, n_trials, *, seed, n_workers, chunk_size, args,
-                     chunk_timeout, max_chunk_retries, salvage, reuse_pool,
-                     shared, batch_fn, granularity, reduce_fn=None,
-                     reduce_init=None, merge_fn=None, trial_source=None):
-    if n_trials < 0:
-        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-    hardened = salvage or chunk_timeout is not None
-    reducing = reduce_fn is not None
-    if reducing and reduce_init is None:
-        raise ValueError("reduce_fn requires reduce_init (accumulator factory)")
-    if reduce_init is not None and not reducing:
-        raise ValueError("reduce_init without reduce_fn does nothing")
-    if reducing and hardened:
-        raise ValueError(
-            "reduce_fn is incompatible with salvage/chunk_timeout: the "
-            "hardened path tracks per-trial slots to report what was lost"
-        )
-    if n_trials == 0:
-        if reducing:
-            return reduce_init()
-        return TrialRunResult(results=[]) if salvage else []
-    granularity = max(1, int(granularity))
-    n_workers = resolve_workers(n_workers)
+            if chunk_size is None:
+                chunk_size = _round_up(
+                    max(1, -(-n_trials // (4 * n_workers))), granularity)
 
-    with _payload_installed(shared):
-        if chunk_size == "auto":
-            ipc = None
-            if not hardened and reuse_pool and n_workers > 1 and n_trials > 1:
-                ipc = _measured_ipc(n_workers, shared)
-            chunk_size = autotune_chunk_size(
-                fn, n_trials, seed=seed, n_workers=n_workers, args=args,
-                granularity=granularity, ipc_seconds=ipc,
-                trial_source=trial_source,
-            )
-        elif chunk_size is not None:
-            chunk_size = _round_up(max(1, int(chunk_size)), granularity)
-
-        if chunk_size is None:
-            chunk_size = _round_up(
-                max(1, -(-n_trials // (4 * n_workers))), granularity)
-
-        if not hardened:
             if n_workers == 1 or n_trials == 1:
                 if reducing:
                     # Chunk-at-a-time even in-process: with a lazy
                     # trial_source only one chunk's items are ever alive,
-                    # which is the constant-memory contract sharded
-                    # callers rely on.
+                    # which is the constant-memory contract sharded callers
+                    # rely on.
                     acc = None
                     for span in _chunk_spans(n_trials, chunk_size):
                         chunk = _run_trial_chunk(
-                            fn, seed, n_trials, span[0], span[1], args,
-                            None, batch_fn, trial_source, reduce_fn,
-                            reduce_init,
+                            fn, seed, n_trials, span[0], span[1], args, None,
+                            batch_fn, trial_source, reduce_fn, reduce_init,
                         )
                         acc = _fold_chunk(acc, chunk, span, reduce_fn,
                                           reduce_init, merge_fn)
@@ -983,151 +694,19 @@ def _run_trials_impl(fn, n_trials, *, seed, n_workers, chunk_size, args,
                 return _run_trial_chunk(fn, seed, n_trials, 0, n_trials,
                                         args, None, batch_fn, trial_source)
             spans = _chunk_spans(n_trials, chunk_size)
-            workers = min(n_workers, len(spans))
             spec = worker_spec()
-            if reuse_pool:
-                pool = persistent_pool(workers, shared=shared)
-                try:
-                    futures = [
-                        pool.submit(_run_trial_chunk, fn, seed, n_trials,
-                                    start, stop, args, spec, batch_fn,
-                                    trial_source, reduce_fn, reduce_init)
-                        for start, stop in spans
-                    ]
-                    return _consume_futures(futures, spans, reduce_fn,
-                                            reduce_init, merge_fn)
-                except BrokenProcessPool:
-                    # A dead worker poisons the pool for every later call:
-                    # evict it so the next run starts fresh, then re-raise.
-                    _discard_pool(pool)
-                    raise
-            descriptor = pack_payload(shared) if shared is not None else None
-            token = descriptor if descriptor is not None else shared
-            init = (_init_worker, (token,)) if shared is not None else (None, ())
-            metrics().counter("runtime.pool_spawned").inc()
+            pool = persistent_pool(min(n_workers, len(spans)), shared=shared)
             try:
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=_mp_context(),
-                    initializer=init[0], initargs=init[1],
-                ) as pool:
-                    futures = [
-                        pool.submit(_run_trial_chunk, fn, seed, n_trials,
-                                    start, stop, args, spec, batch_fn,
-                                    trial_source, reduce_fn, reduce_init)
-                        for start, stop in spans
-                    ]
-                    return _consume_futures(futures, spans, reduce_fn,
-                                            reduce_init, merge_fn)
-            finally:
-                if descriptor is not None:
-                    descriptor.release()
-
-        outcome = _run_trials_hardened(
-            fn, n_trials, seed, n_workers, chunk_size, args,
-            chunk_timeout, max_chunk_retries, shared, batch_fn, trial_source,
-        )
-    if salvage:
-        return outcome
-    if not outcome.ok:
-        raise RuntimeError(
-            f"run_trials lost {outcome.n_failed} of {n_trials} trials:\n"
-            + outcome.failure_summary()
-        )
-    return outcome.results
-
-
-def parallel_map(
-    fn,
-    items,
-    *,
-    n_workers: int | None = None,
-    chunk_size: int | None = None,
-    reuse_pool: bool = True,
-    shared=None,
-) -> list:
-    """Order-preserving parallel ``map`` over picklable ``items``.
-
-    Serial (no pool) when ``n_workers`` resolves to 1 or there is at most
-    one item; otherwise a chunked ``ProcessPoolExecutor.map`` on a
-    persistent pool (``reuse_pool=False`` for a disposable one). Items
-    should be deterministic units of work (carry their own seeds) so that
-    serial and parallel runs agree. ``shared=`` ships one read-only
-    payload to every worker exactly as in :func:`run_trials` — array
-    payloads by shared-memory segment, the rest by initializer pickle —
-    readable from ``fn`` via :func:`shared_payload`.
-
-    When observability is active, every item runs under a positional
-    correlation id (``i00042``) — the same id at any worker count — and
-    worker-side captures are folded back in item order.
-    """
-    items = list(items)
-    n_workers = resolve_workers(n_workers)
-    if n_workers == 1 or len(items) <= 1:
-        with _payload_installed(shared):
-            rec = active_recorder()
-            if rec is None:
-                return [fn(item) for item in items]
-            results = []
-            for index, item in enumerate(items):
-                with rec.correlate(_item_cid(index)):
-                    results.append(fn(item))
-            return results
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(items) // (4 * n_workers)))
-    workers = min(n_workers, len(items))
-    spec = worker_spec()
-    mapper = fn if spec is None else _ObservedItem(fn, spec)
-    payload = items if spec is None else list(enumerate(items))
-    if reuse_pool:
-        pool = persistent_pool(workers, shared=shared)
-        try:
-            out = list(pool.map(mapper, payload, chunksize=chunk_size))
-        except BrokenProcessPool:
-            _discard_pool(pool)
-            raise
-    else:
-        descriptor = pack_payload(shared) if shared is not None else None
-        token = descriptor if descriptor is not None else shared
-        init = (_init_worker, (token,)) if shared is not None else (None, ())
-        metrics().counter("runtime.pool_spawned").inc()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=_mp_context(),
-                initializer=init[0], initargs=init[1],
-            ) as pool:
-                out = list(pool.map(mapper, payload, chunksize=chunk_size))
-        finally:
-            if descriptor is not None:
-                descriptor.release()
-    if spec is None:
-        return out
-    # pool.map preserves item order, so ingesting sequentially keeps the
-    # parent trace in item order regardless of worker count.
-    return [ingest_chunk(chunk) for chunk in out]
-
-
-def _item_cid(index: int) -> str:
-    """Positional correlation id for :func:`parallel_map` items (the items
-    carry their own seeds, so position is the stable identity)."""
-    return f"i{index:05d}"
-
-
-class _ObservedItem:
-    """Picklable per-item wrapper: run ``fn(item)`` under a fresh worker
-    capture and return the result wrapped in an ``ObsChunk``."""
-
-    def __init__(self, fn, spec):
-        self.fn = fn
-        self.spec = spec
-
-    def __call__(self, indexed_item):
-        index, item = indexed_item
-        with chunk_capture(self.spec) as wrap:
-            rec = active_recorder()
-            with profile_capture("map.item"):
-                if rec is None:
-                    out = self.fn(item)
-                else:
-                    with rec.correlate(_item_cid(index)):
-                        out = self.fn(item)
-            return wrap(out)
+                futures = [
+                    pool.submit(_run_trial_chunk, fn, seed, n_trials,
+                                start, stop, args, spec, batch_fn,
+                                trial_source, reduce_fn, reduce_init)
+                    for start, stop in spans
+                ]
+                return _consume_futures(futures, spans, reduce_fn,
+                                        reduce_init, merge_fn)
+            except BrokenProcessPool:
+                # A dead worker poisons the pool for every later call:
+                # evict it so the next run starts fresh, then re-raise.
+                _discard_pool(pool)
+                raise

@@ -120,25 +120,34 @@ class TestBatchedScalarParity:
             batched_sim.metrics.goodput_of_source("ap", 1.0)
 
 
-@pytest.mark.slow
-def test_sweep_batched_cached_parity():
-    """The full sweep path: batched+cached == scalar+uncached, cell by cell."""
-    import dataclasses as dc
-
-    from repro.analysis.calibration import clear_calibration_cache
+@pytest.mark.parametrize("receivers, payloads", [
+    ((2,), (256,)),
+    pytest.param((2, 4), (256, 1024), marks=pytest.mark.slow),
+])
+def test_sweep_batched_cached_parity(receivers, payloads, tmp_path,
+                                     monkeypatch):
+    """The full sweep path: batched+cached == scalar+uncached, cell by
+    cell, with the calibration cache cold and warm."""
+    import repro.analysis.calibration as calibration
     from repro.mac.sweep import SweepConfig, goodput_airtime_sweep
+    from repro.runtime.cache import ResultCache
 
+    monkeypatch.setattr(
+        calibration, "_CACHE",
+        ResultCache(directory=str(tmp_path), namespace="calibration"),
+    )
     fast = SweepConfig(
-        receiver_counts=(2, 4), payload_bytes=(256, 1024), trials=2,
+        receiver_counts=receivers, payload_bytes=payloads, trials=2,
         duration=0.3, calibration_payload=400, calibration_trials=2,
         batched=True, cache=True,
     )
-    slow = dc.replace(fast, batched=False, cache=False)
-    clear_calibration_cache()
+    slow = dataclasses.replace(fast, batched=False, cache=False)
     slow_cells = goodput_airtime_sweep(slow)
-    fast_cells = goodput_airtime_sweep(fast)
-    assert [c.per_trial_goodput for c in slow_cells] == \
-        [c.per_trial_goodput for c in fast_cells]
-    assert [c.goodput_bps for c in slow_cells] == \
-        [c.goodput_bps for c in fast_cells]
-    clear_calibration_cache()
+    cold_cells = goodput_airtime_sweep(fast)
+    warm_cells = goodput_airtime_sweep(fast)
+    assert calibration._CACHE.hits >= 1
+    for cells in (cold_cells, warm_cells):
+        assert [c.per_trial_goodput for c in cells] == \
+            [c.per_trial_goodput for c in slow_cells]
+        assert [c.goodput_bps for c in cells] == \
+            [c.goodput_bps for c in slow_cells]

@@ -401,6 +401,23 @@ class TestShardedDeployment:
         assert rebuilt.to_dict() == result.to_dict()
         assert rebuilt.cells == []
 
+    def test_in_process_sharded_run_builds_the_plan_once(self, cache,
+                                                          monkeypatch):
+        from repro.net import deployment
+
+        builds = []
+        build = deployment._deployment_plan
+
+        def counted(config):
+            builds.append(config)
+            return build(config)
+
+        monkeypatch.setattr(deployment, "_deployment_plan", counted)
+        monkeypatch.setattr(deployment, "_PLAN_MEMO", {})
+        simulate_deployment(_fast_config(), n_workers=1, use_cache=False,
+                            cache=cache, shards=3)
+        assert len(builds) == 1
+
     def test_aggregate_fields_consistent_with_cells(self, cache):
         # The new deployment-level statistics must agree with the
         # retained per-cell breakdown on the unsharded path.

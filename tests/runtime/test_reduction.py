@@ -280,13 +280,6 @@ class TestRunTrialsReduce:
             run_trials(_draw, 4, seed=0, n_workers=1, args=(1.0,),
                        reduce_init=ExactSum)
 
-    def test_reduce_incompatible_with_hardened_path(self):
-        for kwargs in ({"salvage": True}, {"chunk_timeout": 30.0}):
-            with pytest.raises(ValueError, match="salvage|timeout"):
-                run_trials(_draw, 4, seed=0, n_workers=1, args=(1.0,),
-                           reduce_fn=_fold_sum, reduce_init=ExactSum,
-                           **kwargs)
-
     def test_traced_runs_bypass_worker_reduction_same_result(self):
         # Tracing forces per-trial results over the pipe (so the trace
         # stays byte-identical); the parent folds instead. The final

@@ -1,5 +1,6 @@
 """The parallel trial runner must be deterministic for any worker count."""
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 
 from repro.runtime import (
     autotune_chunk_size,
-    parallel_map,
     persistent_pool,
     resolve_workers,
     run_trials,
     shared_payload,
     shutdown_pools,
     trial_rngs,
+    trials,
 )
 
 
@@ -22,16 +23,17 @@ def _toy_trial(trial_index, rng, offset):
     return (trial_index, offset + float(rng.random()))
 
 
-def _square(x):
-    return x * x
-
-
 def _worker_pid(trial_index, rng):
     return os.getpid()
 
 
 def _read_shared(trial_index, rng):
     return shared_payload()
+
+
+def _lookup_trial(trial_index, rng, scale):
+    payload = shared_payload()
+    return float(payload["table"][trial_index]) * scale + payload["scalar"]
 
 
 def _draw_trial(trial_index, rng, scale):
@@ -104,13 +106,13 @@ class TestPersistentPools:
         assert first & second
         shutdown_pools()
 
-    def test_reuse_pool_false_uses_fresh_workers(self):
+    def test_shutdown_pools_spawns_fresh_workers(self):
         shutdown_pools()
-        first = set(run_trials(_worker_pid, 4, seed=0, n_workers=2,
-                               reuse_pool=False))
-        second = set(run_trials(_worker_pid, 4, seed=0, n_workers=2,
-                                reuse_pool=False))
+        first = set(run_trials(_worker_pid, 4, seed=0, n_workers=2))
+        shutdown_pools()
+        second = set(run_trials(_worker_pid, 4, seed=0, n_workers=2))
         assert first.isdisjoint(second)
+        shutdown_pools()
 
     def test_persistent_pool_identity(self):
         shutdown_pools()
@@ -119,10 +121,9 @@ class TestPersistentPools:
 
     def test_results_identical_with_and_without_reuse(self):
         shutdown_pools()
+        fresh = run_trials(_toy_trial, 13, seed=3, n_workers=2, args=(1.0,))
         reused = run_trials(_toy_trial, 13, seed=3, n_workers=2, args=(1.0,))
-        disposable = run_trials(_toy_trial, 13, seed=3, n_workers=2,
-                                args=(1.0,), reuse_pool=False)
-        assert reused == disposable
+        assert reused == fresh
         shutdown_pools()
 
     def test_shared_payload_reaches_workers(self):
@@ -137,6 +138,22 @@ class TestPersistentPools:
         values = run_trials(_read_shared, 3, seed=0, n_workers=1,
                             shared={"k": 7})
         assert values == [{"k": 7}] * 3
+
+    def test_spawn_workers_match_serial(self, monkeypatch):
+        # Without fork the initializer pickles the payload, arrays included.
+        shutdown_pools()
+        monkeypatch.setattr(
+            trials, "_mp_context",
+            lambda: multiprocessing.get_context("spawn"))
+        payload = {"table": np.linspace(0.0, 1.0, 2048), "scalar": 7}
+        try:
+            parallel = run_trials(_lookup_trial, 4, seed=9, n_workers=2,
+                                  args=(1.5,), shared=payload)
+        finally:
+            shutdown_pools()
+        serial = run_trials(_lookup_trial, 4, seed=9, n_workers=1,
+                            args=(1.5,), shared=payload)
+        assert parallel == serial
 
 
 class TestGranularity:
@@ -230,16 +247,6 @@ class TestAutotune:
         assert auto == baseline
 
 
-class TestParallelMap:
-    def test_order_preserved(self):
-        items = list(range(23))
-        assert parallel_map(_square, items, n_workers=1) == [x * x for x in items]
-        assert parallel_map(_square, items, n_workers=4) == [x * x for x in items]
-
-    def test_empty(self):
-        assert parallel_map(_square, [], n_workers=4) == []
-
-
 class TestExperimentDeterminism:
     def test_ber_by_symbol_index_serial_equals_parallel(self):
         from repro.analysis.phy_experiments import LinkConfig, ber_by_symbol_index
@@ -272,15 +279,6 @@ def _silent_batch(start, rngs, scale):
     # the per-trial emissions (and the test would catch it).
     return [(start + t, round(float(rng.random()) * scale, 9))
             for t, rng in enumerate(rngs)]
-
-
-def _emitting_item(x):
-    from repro.obs.trace import active_recorder
-
-    rec = active_recorder()
-    if rec is not None:
-        rec.emit("test", "map_item", x=x)
-    return x * x
 
 
 class TestTraceDeterminism:
@@ -347,26 +345,6 @@ class TestTraceDeterminism:
         ]
         # A different run seed yields different ids for the same slots.
         assert trial_correlation_id(6, 0) != trial_correlation_id(5, 0)
-
-    def test_parallel_map_positional_cids(self):
-        import json
-
-        from repro.obs.trace import TraceRecorder, set_recorder
-
-        traces = []
-        for n_workers in (1, 3):
-            recorder = TraceRecorder(None, deterministic=True)
-            set_recorder(recorder)
-            try:
-                assert parallel_map(_emitting_item, [3, 1, 2],
-                                    n_workers=n_workers) == [9, 1, 4]
-            finally:
-                set_recorder(None)
-            traces.append(json.dumps(recorder.events, sort_keys=True))
-        assert traces[0] == traces[1]
-        events = json.loads(traces[0])
-        assert [e["cid"] for e in events] == ["i00000", "i00001", "i00002"]
-        shutdown_pools()
 
     def test_worker_metrics_fold_back_only_when_shipped(self):
         from repro.obs.trace import disable_metrics, enable_metrics

@@ -27,28 +27,6 @@ class TestParser:
         assert args.profile
         assert build_parser().parse_args(["phy"]).workers is None
 
-    def test_bench_flags(self):
-        args = build_parser().parse_args(["bench", "--smoke", "--out", "b.json"])
-        assert args.smoke
-        assert args.out == "b.json"
-        defaults = build_parser().parse_args(["bench"])
-        assert defaults.out is None  # resolved per suite at run time
-        assert defaults.suite == "phy"
-        assert defaults.compare is None
-        assert defaults.threshold == pytest.approx(0.2)
-
-    def test_bench_compare_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--suite", "all", "--compare", ".", "--threshold", "0.3"]
-        )
-        assert args.suite == "all"
-        assert args.compare == "."
-        assert args.threshold == pytest.approx(0.3)
-
-    def test_bench_rejects_unknown_suite(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--suite", "dsp"])
-
     def test_soak_flags(self):
         args = build_parser().parse_args(
             ["soak", "--epochs", "5", "--checkpoint", "ckpt", "--resume",
@@ -136,80 +114,6 @@ class TestCommands:
                      "--epochs", "1", "--resume"])
         assert code == 2
         assert "no checkpoint" in capsys.readouterr().err
-
-    @pytest.mark.slow
-    def test_bench_smoke(self, capsys, tmp_path, monkeypatch):
-        out_path = tmp_path / "BENCH_phy.json"
-        assert main(["bench", "--smoke", "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "viterbi" in out and "monte carlo" in out
-        assert out_path.exists()
-
-    @pytest.mark.slow
-    def test_bench_out_requires_single_suite(self, tmp_path, capsys):
-        code = main(["bench", "--suite", "all", "--smoke",
-                     "--out", str(tmp_path / "b.json")])
-        assert code == 2
-
-    @pytest.mark.slow
-    def test_bench_smoke_never_touches_committed_baselines(
-            self, capsys, tmp_path, monkeypatch):
-        # Smoke runs default to a temp dir: BENCH_mac.json in the cwd
-        # (the committed baseline) must survive untouched.
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--suite", "mac", "--smoke"]) == 0
-        assert not (tmp_path / "BENCH_mac.json").exists()
-        out = capsys.readouterr().out
-        assert "wrote " in out
-
-    @pytest.mark.slow
-    def test_bench_compare_exit_codes(self, capsys, tmp_path, monkeypatch):
-        import copy
-        import json
-
-        out_path = tmp_path / "BENCH_mac.json"
-        assert main(["bench", "--suite", "mac", "--smoke",
-                     "--out", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
-
-        def scaled(factor):
-            # Scale only the gated throughput keys: workload descriptors
-            # must stay identical or the sections are incomparable.
-            markers = ("_per_s", "speedup", "frames_per_s", "mbit_per_s")
-            doc = copy.deepcopy(payload)
-            for name, body in doc.items():
-                if name == "meta":
-                    continue
-                for key, value in body.items():
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        continue
-                    if any(marker in key for marker in markers):
-                        body[key] = value * factor
-            return doc
-
-        easy = tmp_path / "easy" / "BENCH_mac.json"
-        easy.parent.mkdir()
-        easy.write_text(json.dumps(scaled(1e-6)))
-        hard = tmp_path / "hard" / "BENCH_mac.json"
-        hard.parent.mkdir()
-        hard.write_text(json.dumps(scaled(1e6)))
-
-        run = tmp_path / "run.json"
-        assert main(["bench", "--suite", "mac", "--smoke",
-                     "--out", str(run), "--compare", str(easy.parent)]) == 0
-        assert "no regression" in capsys.readouterr().out
-        assert main(["bench", "--suite", "mac", "--smoke",
-                     "--out", str(run), "--compare", str(hard.parent)]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    @pytest.mark.slow
-    def test_bench_compare_missing_baseline_is_skipped(self, capsys, tmp_path):
-        run = tmp_path / "run.json"
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert main(["bench", "--suite", "mac", "--smoke",
-                     "--out", str(run), "--compare", str(empty)]) == 0
-        assert "skipping compare" in capsys.readouterr().out
 
 
 class TestObsFlags:
