@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from copy import copy
 
-import numpy as np
-
 from repro.mac.airtime import ack_airtime, single_frame_airtime
 from repro.mac.error_model import DEFAULT_ERROR_MODEL
 from repro.mac.frames import Arrival, MacFrame
@@ -45,21 +43,17 @@ _RTS_BYTES = 20
 _CTS_BYTES = 14
 
 
-class _BatchedErrorDraws:
-    """Block-buffered, vectorised subframe error draws (the batched path).
+class _BlockErrorDraws:
+    """Subframe decode outcomes from block-drawn uniforms.
 
-    The scalar engine asks the error model for one Bernoulli outcome per
-    subframe: one probability computation plus one scalar ``uniform()``
-    per call. This helper pre-draws uniforms from the *same* error stream
-    in blocks and compares whole transmissions' worth of them against the
-    model's memoised exact probabilities in one vector operation.
-
-    Bit-exactness: a block ``uniform(size=k)`` reads the identical stream
-    values as ``k`` sequential scalar draws, each subframe still consumes
-    exactly one uniform in subframe order, and the probabilities are the
-    exact floats the scalar path computes — so every outcome matches the
-    scalar engine's. The unconsumed tail of the final block is invisible:
-    the ``errors`` child stream feeds nothing else.
+    Each subframe consumes exactly one uniform from the ``errors`` stream,
+    in subframe order, and decodes iff that uniform falls below the error
+    model's ``subframe_success_probability``. Uniforms are drawn ``block``
+    at a time: a block ``uniform(size=k)`` reads the same stream values as
+    ``k`` scalar draws, so outcomes equal sequential
+    ``model.draw_subframe`` calls on that stream. The unconsumed tail of
+    the last block is invisible, because the ``errors`` child stream
+    feeds nothing else.
     """
 
     def __init__(self, error_model, rng: RngStream, block: int = 1024):
@@ -80,8 +74,7 @@ class _BatchedErrorDraws:
         out = []
         while len(out) < n:
             if self._pos >= len(self._buffer):
-                self._buffer = np.atleast_1d(
-                    self._rng.uniform(size=self._block)).tolist()
+                self._buffer = self._rng.uniform(size=self._block).tolist()
                 self._pos = 0
             take = min(n - len(out), len(self._buffer) - self._pos)
             out.extend(self._buffer[self._pos:self._pos + take])
@@ -90,8 +83,6 @@ class _BatchedErrorDraws:
 
     def draw(self, subframes: list) -> list:
         """Decode outcomes for one transmission's subframes (ordered)."""
-        if not subframes:
-            return []
         prob = self._model.subframe_success_probability
         return [
             u < prob(sf.start_symbol, sf.n_symbols, sf.rte)
@@ -122,13 +113,11 @@ class WlanSimulator:
             own subframe; without it (the naive ordinal matcher) the first
             unexplained ACK gap desynchronises the rest of the sequence
             and every later subframe is conservatively retransmitted.
-        batched: Vectorise subframe error draws (block-buffered uniforms
-            compared against memoised exact probabilities) — bit-identical
-            metrics to the scalar path at a fraction of the cost. Requires
-            an error model whose ``draw_subframe`` is a uniform-vs-
-            ``subframe_success_probability`` comparison (both built-in
-            models are); models without that method fall back to scalar
-            draws. :meth:`simulate_batch` enables this after construction.
+
+    The engine asks the error model for one thing only:
+    ``subframe_success_probability(start_symbol, n_symbols, rte) -> float``.
+    Each subframe decodes iff its uniform, drawn in blocks from the
+    ``errors`` child stream, falls below that probability.
     """
 
     def __init__(
@@ -145,7 +134,6 @@ class WlanSimulator:
         hidden_pairs: set | None = None,
         faults=None,
         sequential_ack_recovery: bool = False,
-        batched: bool = False,
     ):
         if num_stations < 1 and not station_names:
             raise ValueError("need at least one station")
@@ -156,7 +144,7 @@ class WlanSimulator:
         self.error_model = error_model
         self.use_rts_cts = use_rts_cts
         rng = rng or RngStream(seed=0)
-        self._error_rng = rng.child("errors")
+        self._error_draws = _BlockErrorDraws(error_model, rng.child("errors"))
         # AP names: "ap", "ap1", "ap2", … — the first is the measured AP;
         # extras model co-channel APs sharing the collision domain (the
         # paper's §7.2.1 setup has two APs in carrier-sense range).
@@ -210,34 +198,6 @@ class WlanSimulator:
         # a single None check per logged event.
         self._rec = None
         self._obs_counters = _DISABLED_COUNTERS
-        # Batched error draws (see _BatchedErrorDraws): None = scalar oracle.
-        self._batched_draws: _BatchedErrorDraws | None = None
-        if batched:
-            self.enable_batched_draws()
-
-    def enable_batched_draws(self) -> None:
-        """Switch subframe error draws to the vectorised batched path.
-
-        Must be called before :meth:`run` (the two paths consume the error
-        stream compatibly, but switching mid-run would strand buffered
-        draws). Silently stays scalar for error models that don't expose
-        ``subframe_success_probability``.
-        """
-        if hasattr(self.error_model, "subframe_success_probability"):
-            self._batched_draws = _BatchedErrorDraws(self.error_model, self._error_rng)
-
-    def simulate_batch(self, duration: float) -> MetricsSummary:
-        """:meth:`run` with vectorised, pre-drawn subframe error outcomes.
-
-        The batched path pre-draws blocks of uniforms from the same
-        ``errors`` child stream the scalar path uses and resolves each
-        transmission's subframes in one vector comparison — metrics are
-        bit-identical to :meth:`run` (the scalar parity oracle) at every
-        seed; the parity suite in ``tests/mac/test_engine_batch_parity.py``
-        enforces this.
-        """
-        self.enable_batched_draws()
-        return self.run(duration)
 
     # ------------------------------------------------------------------ #
 
@@ -476,15 +436,7 @@ class WlanSimulator:
         self._account_airtime(node, transmission, overhead)
 
         data_end = self.now + overhead + transmission.airtime
-        if self._batched_draws is not None:
-            decoded = self._batched_draws.draw(transmission.subframes)
-        else:
-            decoded = [
-                self.error_model.draw_subframe(
-                    self._error_rng, subframe.start_symbol, subframe.n_symbols, subframe.rte
-                )
-                for subframe in transmission.subframes
-            ]
+        decoded = self._error_draws.draw(transmission.subframes)
         if self._faults is not None:
             decoded = self._apply_subframe_faults(transmission, decoded, overhead)
             acked = self._apply_ack_faults(transmission, decoded)

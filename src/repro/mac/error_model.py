@@ -15,18 +15,11 @@ A subframe spanning symbols [s, s+L) succeeds iff every symbol decodes:
 P_success = ∏ (1 − e(n)). Aggregation schemes without RTE therefore pay a
 steep reliability price on long frames — the paper's central mechanism.
 
-Performance: the models sit on the MAC hot path (one probability + one
-Bernoulli draw per subframe per transmission), so they carry two fast
-paths the sweep engine leans on:
-
-* scalar probabilities are **memoised** per ``(start, n, rte)`` — sweeps
-  revisit the same subframe geometries constantly — and the memo returns
-  the exact float the un-memoised computation produced;
-* ``subframe_success_probability`` accepts **arrays** of starts/lengths
-  (cumulative-log-survival table, O(1) per subframe after the table), and
-  :meth:`draw_subframes` vectorises whole transmissions' Bernoulli draws
-  while consuming the RNG stream bit-identically to sequential
-  :meth:`draw_subframe` calls.
+The MAC engine asks a model only for ``subframe_success_probability``,
+once per subframe per transmission; :class:`BerCurveErrorModel` memoises
+it per ``(start, n, rte)``, because a run revisits the same subframe
+geometries constantly. ``draw_subframe`` is the scalar reference draw
+the engine's block-buffered draws are tested against.
 """
 
 from __future__ import annotations
@@ -68,11 +61,9 @@ class BerCurveErrorModel:
             raise ValueError("base_symbol_error must be a probability")
         if self.bias_growth < 0:
             raise ValueError("bias_growth must be non-negative")
-        # Memo of exact scalar probabilities, (start, n, rte) -> float, plus
-        # the cumulative log-survival tables backing the array fast path.
-        # Not a dataclass field: invisible to __eq__/__hash__/repr.
+        # Memo of exact probabilities, (start, n, rte) -> float. Not a
+        # dataclass field: invisible to __eq__/__hash__/repr.
         object.__setattr__(self, "_p_cache", {})
-        object.__setattr__(self, "_cum_log", {})
 
     def symbol_error(self, index, rte: bool):
         """Decode-failure probability of the symbol at ``index``.
@@ -87,38 +78,16 @@ class BerCurveErrorModel:
         return np.minimum(value, self.max_symbol_error)
 
     def _success_probability_exact(self, start_symbol: int, n_symbols: int, rte: bool) -> float:
-        """The original scalar computation — the bit-exactness oracle."""
+        """Unmemoised computation behind :meth:`subframe_success_probability`."""
         if n_symbols <= 0:
             raise ValueError("subframe must span at least one symbol")
         indices = np.arange(start_symbol, start_symbol + n_symbols)
         errors = self.symbol_error(indices, rte)
         return float(np.exp(np.log1p(-errors).sum()))
 
-    def _cum_table(self, upto: int, rte: bool) -> np.ndarray:
-        """``cum[k] = Σ_{i<k} log(1 − e(i))``, grown on demand."""
-        table = self._cum_log.get(rte)
-        if table is None or table.size < upto + 1:
-            size = max(upto + 1, 256)
-            log_survival = np.log1p(-self.symbol_error(np.arange(size), rte))
-            table = np.concatenate(([0.0], np.cumsum(log_survival)))
-            self._cum_log[rte] = table
-        return table
-
-    def subframe_success_probability(self, start_symbol, n_symbols, rte: bool):
-        """P(all symbols in [start, start+n) decode).
-
-        Scalars return the memoised exact float; passing arrays of starts
-        and lengths returns an array computed from a cumulative
-        log-survival table (agrees with the scalar path to machine
-        precision — the summation order differs, so not bit-for-bit).
-        """
-        if isinstance(start_symbol, np.ndarray) or isinstance(n_symbols, np.ndarray):
-            starts = np.asarray(start_symbol, dtype=np.int64)
-            lengths = np.asarray(n_symbols, dtype=np.int64)
-            if np.any(lengths <= 0):
-                raise ValueError("subframe must span at least one symbol")
-            cum = self._cum_table(int(np.max(starts + lengths)), rte)
-            return np.exp(cum[starts + lengths] - cum[starts])
+    def subframe_success_probability(self, start_symbol: int, n_symbols: int,
+                                     rte: bool) -> float:
+        """P(all symbols in [start, start+n) decode), memoised."""
         key = (int(start_symbol), int(n_symbols), bool(rte))
         p = self._p_cache.get(key)
         if p is None:
@@ -131,25 +100,6 @@ class BerCurveErrorModel:
         p = self.subframe_success_probability(start_symbol, n_symbols, rte)
         return bool(rng.uniform() < p)
 
-    def draw_subframes(self, rng: RngStream, start_symbols, n_symbols, rte) -> np.ndarray:
-        """Vectorised :meth:`draw_subframe` over whole arrays of subframes.
-
-        ``rte`` may be one bool or a per-subframe sequence. Consumes
-        exactly ``len(start_symbols)`` uniforms in subframe order — one
-        batched ``uniform(size=n)`` draw reads the identical stream values
-        as ``n`` sequential scalar draws — and compares them against the
-        memoised exact scalar probabilities, so the returned outcomes are
-        bit-identical to a sequential-draw run.
-        """
-        starts = np.atleast_1d(np.asarray(start_symbols, dtype=np.int64))
-        lengths = np.atleast_1d(np.asarray(n_symbols, dtype=np.int64))
-        flags = np.broadcast_to(np.atleast_1d(rte), starts.shape)
-        p = np.array([
-            self.subframe_success_probability(int(s), int(n), bool(f))
-            for s, n, f in zip(starts, lengths, flags)
-        ])
-        return rng.uniform(size=p.size) < p
-
 
 @dataclass(frozen=True)
 class FixedFerModel:
@@ -157,20 +107,14 @@ class FixedFerModel:
 
     fer: float = 0.0
 
-    def subframe_success_probability(self, start_symbol, n_symbols, rte: bool):
+    def subframe_success_probability(self, start_symbol: int, n_symbols: int,
+                                     rte: bool) -> float:
         """Always ``1 − fer`` regardless of position or length."""
-        if isinstance(start_symbol, np.ndarray) or isinstance(n_symbols, np.ndarray):
-            return np.full(np.broadcast(start_symbol, n_symbols).shape, 1.0 - self.fer)
         return 1.0 - self.fer
 
     def draw_subframe(self, rng: RngStream, start_symbol: int, n_symbols: int, rte: bool) -> bool:
         """Bernoulli draw at the fixed success probability."""
         return bool(rng.uniform() < 1.0 - self.fer)
-
-    def draw_subframes(self, rng: RngStream, start_symbols, n_symbols, rte) -> np.ndarray:
-        """Vectorised draws — same stream consumption as sequential draws."""
-        n = np.atleast_1d(np.asarray(start_symbols)).size
-        return rng.uniform(size=n) < (1.0 - self.fer)
 
 
 def fit_ber_curve(symbol_error_by_index: np.ndarray, rte_error_by_index: np.ndarray) -> BerCurveErrorModel:

@@ -103,9 +103,6 @@ class VoipScenario:
     fault_plan: object = None
     #: Timestamp-based sequential-ACK matching (see WlanSimulator).
     sequential_ack_recovery: bool = False
-    #: Vectorised subframe error draws (bit-identical metrics; see
-    #: WlanSimulator.simulate_batch).
-    batched: bool = False
 
     def build_arrivals(self) -> tuple:
         """Returns (arrivals, all_station_names)."""
@@ -157,7 +154,6 @@ class VoipScenario:
             station_names=stations,
             faults=self.fault_plan,
             sequential_ack_recovery=self.sequential_ack_recovery,
-            batched=self.batched,
         )
         summary = sim.run(self.duration)
         return ScenarioResult(
@@ -208,9 +204,6 @@ class CbrScenario:
     fault_plan: object = None
     #: Timestamp-based sequential-ACK matching (see WlanSimulator).
     sequential_ack_recovery: bool = False
-    #: Vectorised subframe error draws (bit-identical metrics; see
-    #: WlanSimulator.simulate_batch).
-    batched: bool = False
 
     def build_arrivals(self) -> tuple:
         """Returns (arrivals, all_station_names)."""
@@ -259,7 +252,6 @@ class CbrScenario:
             station_names=stations,
             faults=self.fault_plan,
             sequential_ack_recovery=self.sequential_ack_recovery,
-            batched=self.batched,
         )
         summary = sim.run(self.duration)
         return ScenarioResult(

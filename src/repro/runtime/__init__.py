@@ -1,7 +1,7 @@
 """Shared parallel-execution runtime for Monte-Carlo experiments.
 
 ``repro.runtime.trials`` provides the seeded, chunked trial runner every
-BER sweep, MAC scenario sweep and deployment goes through — with
+BER sweep and deployment goes through — with
 persistent worker pools, initializer-shipped shared payloads, and
 probe-based chunk autotuning. ``repro.runtime.cache`` is the keyed,
 process-safe result cache expensive sweep inputs (PHY calibration) go

@@ -28,10 +28,6 @@ shared runtime those sweeps go through:
   scalar path would and must return bit-identical per-trial results;
   traced runs always take the scalar path so correlation ids attach to
   single trials.
-* **Coarse work units** — ``granularity=k`` aligns chunk boundaries to
-  multiples of *k* trials, so callers whose trials come in tiles (a MAC
-  sweep cell's repeats, a deployment cell's members) never see a tile
-  split across workers.
 * **Worker-side reduction** — pass ``reduce_fn=`` / ``reduce_init=`` and
   each worker folds its chunk's per-trial results into one small
   mergeable accumulator *before* IPC: only accumulators cross the pipe,
@@ -133,10 +129,6 @@ def _mp_context():
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return None
-
-
-def _round_up(value: int, granularity: int) -> int:
-    return -(-value // granularity) * granularity
 
 
 def _chunk_spans(n: int, chunk_size: int) -> list:
@@ -334,7 +326,6 @@ def autotune_chunk_size(
     seed: int,
     n_workers: int,
     args: tuple = (),
-    granularity: int = 1,
     ipc_seconds: float | None = None,
     target_overhead: float = 0.02,
     max_probe_trials: int = 3,
@@ -349,10 +340,9 @@ def autotune_chunk_size(
     chunks so the per-chunk submission cost ``ipc_seconds`` — measured on
     the live pool when the caller has one, a conservative default
     otherwise — stays below ``target_overhead`` of the chunk's useful
-    work. The result is rounded up to a ``granularity`` multiple and
-    clamped so every worker still gets at least one chunk.
+    work. The result is clamped so every worker still gets at least one
+    chunk.
     """
-    granularity = max(1, int(granularity))
     if n_trials <= 1 or n_workers <= 1:
         return max(1, n_trials)
     children = _trial_seeds(seed, n_trials)
@@ -374,13 +364,12 @@ def autotune_chunk_size(
                 break
     per_trial = (time.perf_counter() - start) / probed
     upper = max(1, -(-n_trials // n_workers))  # ceil: >= one chunk per worker
-    upper = _round_up(upper, granularity)
     if per_trial <= 0:
         return upper
     ipc = _DEFAULT_IPC_SECONDS if ipc_seconds is None else max(ipc_seconds, 1e-6)
     min_work_seconds = ipc * (1.0 - target_overhead) / target_overhead
-    size = max(granularity, int(-(-min_work_seconds // per_trial)))
-    return int(min(_round_up(size, granularity), upper))
+    size = max(1, int(-(-min_work_seconds // per_trial)))
+    return int(min(size, upper))
 
 
 def _measured_ipc(n_workers: int, shared) -> float | None:
@@ -527,16 +516,7 @@ def _count_ipc_result(raw) -> None:
         metrics().counter("runtime.ipc_result_bytes").inc(size)
 
 
-def _merge_accumulators(acc, other, merge_fn):
-    """Merge two chunk accumulators (parent side, span order)."""
-    if merge_fn is not None:
-        merged = merge_fn(acc, other)
-    else:
-        merged = acc.merge(other)
-    return acc if merged is None else merged
-
-
-def _fold_chunk(acc, chunk, span, reduce_fn, reduce_init, merge_fn):
+def _fold_chunk(acc, chunk, span, reduce_fn, reduce_init):
     """Fold one ingested chunk result into the running accumulator.
 
     ``chunk`` is either a :class:`_Reduced` accumulator (worker already
@@ -546,7 +526,8 @@ def _fold_chunk(acc, chunk, span, reduce_fn, reduce_init, merge_fn):
     if isinstance(chunk, _Reduced):
         if acc is None:
             return chunk.acc
-        return _merge_accumulators(acc, chunk.acc, merge_fn)
+        merged = acc.merge(chunk.acc)
+        return acc if merged is None else merged
     if acc is None:
         acc = reduce_init()
     start, _stop = span
@@ -555,7 +536,7 @@ def _fold_chunk(acc, chunk, span, reduce_fn, reduce_init, merge_fn):
     return acc
 
 
-def _consume_futures(futures, spans, reduce_fn, reduce_init, merge_fn):
+def _consume_futures(futures, spans, reduce_fn, reduce_init):
     """Consume chunk futures in span order; list out, or merged accumulator.
 
     Span order matters twice: worker-captured obs events fold back into
@@ -575,7 +556,7 @@ def _consume_futures(futures, spans, reduce_fn, reduce_init, merge_fn):
         raw = future.result()
         _count_ipc_result(raw)
         acc = _fold_chunk(acc, ingest_chunk(raw), span, reduce_fn,
-                          reduce_init, merge_fn)
+                          reduce_init)
     return acc
 
 
@@ -589,10 +570,8 @@ def run_trials(
     args: tuple = (),
     shared=None,
     batch_fn=None,
-    granularity: int = 1,
     reduce_fn=None,
     reduce_init=None,
-    merge_fn=None,
     trial_source=None,
 ) -> list:
     """Run ``fn(trial_index, rng, *args)`` for every trial; ordered results.
@@ -619,22 +598,16 @@ def run_trials(
             return results bit-identical to ``fn`` trial by trial (traced
             runs always use ``fn``, so any divergence shows up as a trace
             vs. plain mismatch).
-        granularity: Align chunk boundaries to multiples of this many
-            trials, so tiles of trials that must share a chunk (one sweep
-            cell's repeats) are never split across workers.
         reduce_fn: Optional fold ``(acc, trial_index, result) -> acc``.
             Untraced workers fold their own chunk before IPC and ship one
             accumulator; the parent merges chunk accumulators in span
-            order and :func:`run_trials` returns the merged accumulator
-            instead of a results list. Traced runs ship per-trial results
+            order with ``acc_a.merge(acc_b)`` and :func:`run_trials`
+            returns the merged accumulator instead of a results list. Traced runs ship per-trial results
             as usual and the parent folds — identical by construction
             when the accumulator is *exactly associative*
             (:mod:`repro.runtime.reduction`).
         reduce_init: Picklable zero-argument factory for a fresh
             accumulator (required with ``reduce_fn``).
-        merge_fn: Optional ``(acc_a, acc_b) -> merged`` used by the
-            parent to combine chunk accumulators; defaults to
-            ``acc_a.merge(acc_b)``.
         trial_source: Optional picklable ``(start, stop) -> sequence`` of
             per-trial work items, generated *inside* the worker per chunk
             instead of materialised and shipped whole by the parent. With
@@ -656,7 +629,6 @@ def run_trials(
             raise ValueError("reduce_init without reduce_fn does nothing")
         if n_trials == 0:
             return reduce_init() if reducing else []
-        granularity = max(1, int(granularity))
         n_workers = resolve_workers(n_workers)
 
         with _payload_installed(shared):
@@ -666,15 +638,13 @@ def run_trials(
                     ipc = _measured_ipc(n_workers, shared)
                 chunk_size = autotune_chunk_size(
                     fn, n_trials, seed=seed, n_workers=n_workers, args=args,
-                    granularity=granularity, ipc_seconds=ipc,
-                    trial_source=trial_source,
+                    ipc_seconds=ipc, trial_source=trial_source,
                 )
             elif chunk_size is not None:
-                chunk_size = _round_up(max(1, int(chunk_size)), granularity)
+                chunk_size = max(1, int(chunk_size))
 
             if chunk_size is None:
-                chunk_size = _round_up(
-                    max(1, -(-n_trials // (4 * n_workers))), granularity)
+                chunk_size = max(1, -(-n_trials // (4 * n_workers)))
 
             if n_workers == 1 or n_trials == 1:
                 if reducing:
@@ -689,7 +659,7 @@ def run_trials(
                             batch_fn, trial_source, reduce_fn, reduce_init,
                         )
                         acc = _fold_chunk(acc, chunk, span, reduce_fn,
-                                          reduce_init, merge_fn)
+                                          reduce_init)
                     return acc
                 return _run_trial_chunk(fn, seed, n_trials, 0, n_trials,
                                         args, None, batch_fn, trial_source)
@@ -704,7 +674,7 @@ def run_trials(
                     for start, stop in spans
                 ]
                 return _consume_futures(futures, spans, reduce_fn,
-                                        reduce_init, merge_fn)
+                                        reduce_init)
             except BrokenProcessPool:
                 # A dead worker poisons the pool for every later call:
                 # evict it so the next run starts fresh, then re-raise.

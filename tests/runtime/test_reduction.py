@@ -191,15 +191,6 @@ def _fold_tagged(acc, trial_index, result):
     return acc
 
 
-def _fold_indices(acc, trial_index, result):
-    acc.append(trial_index)
-    return acc
-
-
-def _merge_lists(a, b):
-    return a + b
-
-
 def _draw_batch(start, rngs, scale):
     return [float(rng.random()) * scale for rng in rngs]
 
@@ -250,12 +241,6 @@ class TestRunTrialsReduce:
                          args=(1.0,), trial_source=_span_items,
                          reduce_fn=_fold_tagged, reduce_init=ExactSum)
         assert acc.value() == expected
-
-    def test_custom_merge_fn_preserves_trial_order(self):
-        indices = run_trials(_draw, 9, seed=0, n_workers=3, chunk_size=2,
-                             args=(1.0,), reduce_fn=_fold_indices,
-                             reduce_init=list, merge_fn=_merge_lists)
-        assert indices == list(range(9))
 
     def test_batch_fn_with_reduction(self):
         _, expected = self._oracle()

@@ -45,11 +45,6 @@ def _draw_batch(start, rngs, scale):
     return [round(float(rng.random()) * scale, 9) for rng in rngs]
 
 
-def _chunk_width_batch(start, rngs):
-    # Every trial in a chunk reports how many trials shared its chunk.
-    return [len(rngs)] * len(rngs)
-
-
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "7")
@@ -154,31 +149,6 @@ class TestPersistentPools:
         serial = run_trials(_lookup_trial, 4, seed=9, n_workers=1,
                             args=(1.5,), shared=payload)
         assert parallel == serial
-
-
-class TestGranularity:
-    def test_chunks_align_to_granularity(self):
-        shutdown_pools()
-        # 10 trials, chunk_size 3 rounded up to 4: widths 4, 4, 2 (tail).
-        widths = run_trials(_worker_pid, 10, seed=0, n_workers=2,
-                            chunk_size=3, granularity=2,
-                            batch_fn=_chunk_width_batch)
-        assert sorted(set(widths)) == [2, 4]
-        assert widths[:8] == [4] * 8
-        shutdown_pools()
-
-    def test_granularity_does_not_change_results(self):
-        baseline = run_trials(_draw_trial, 12, seed=4, n_workers=1, args=(3.0,))
-        for granularity in (2, 3, 4):
-            tiled = run_trials(_draw_trial, 12, seed=4, n_workers=3,
-                               granularity=granularity, args=(3.0,))
-            assert tiled == baseline
-        shutdown_pools()
-
-    def test_autotune_respects_granularity(self):
-        size = autotune_chunk_size(_draw_trial, 40, seed=0, n_workers=4,
-                                   args=(1.0,), granularity=3)
-        assert size % 3 == 0 or size == 40
 
 
 class TestBatchFn:

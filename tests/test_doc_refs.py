@@ -1,12 +1,15 @@
 """The docs must point at real things.
 
 Every ``make <target>`` quoted as code in the user-facing docs must be a
-Makefile target, and every ``python -m repro <cmd>`` must be a subcommand
-of the CLI parser. ROADMAP.md and CHANGES.md are history, and ``bench/``
+Makefile target, every ``python -m repro <cmd>`` must be a subcommand
+of the CLI parser, and every ``from repro.X import a, b`` must import:
+each name is an attribute or a submodule of ``repro.X``. ROADMAP.md and CHANGES.md are history, and ``bench/``
 documents itself, so neither is checked.
 """
 
 import argparse
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -31,6 +34,7 @@ _INLINE = re.compile(r"`([^`\n]+)`")
 _MAKE = re.compile(r"(?:^|[\s;&|(])make\s+([A-Za-z][\w.-]*)", re.M)
 _REPRO = re.compile(r"python3?\s+-m\s+repro\s+([A-Za-z][\w-]*)")
 _TARGET = re.compile(r"^([A-Za-z][\w.-]*)\s*:(?!=)", re.M)
+_IMPORT = re.compile(r"\bfrom\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n`]+)")
 
 
 def _code(text: str) -> list:
@@ -47,6 +51,27 @@ def _subcommands() -> set:
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
     return set(action.choices)
+
+
+def _imports(text: str) -> list:
+    """``(module, name)`` for every name a ``from repro… import`` line pulls."""
+    pairs = []
+    for module, names in _IMPORT.findall(text):
+        names = re.sub(r"#[^\n]*", "", names).strip("()")
+        for name in names.split(","):
+            name = name.split(" as ")[0].strip()
+            if name:
+                pairs.append((module, name))
+    return pairs
+
+
+def _resolves(module: str, name: str) -> bool:
+    try:
+        parent = importlib.import_module(module)
+    except ImportError:
+        return False
+    return (hasattr(parent, name)
+            or importlib.util.find_spec(f"{module}.{name}") is not None)
 
 
 def _ids(paths):
@@ -67,6 +92,14 @@ def test_repro_subcommands_exist(doc):
     assert quoted - _subcommands() == set()
 
 
+@pytest.mark.parametrize("doc", DOCS, ids=_ids(DOCS))
+def test_repro_imports_resolve(doc):
+    missing = [f"from {module} import {name}"
+               for module, name in _imports(doc.read_text())
+               if not _resolves(module, name)]
+    assert missing == []
+
+
 def test_scanner_sees_the_known_references():
     # Guard against the regexes silently matching nothing.
     assert {"test", "bench-smoke", "soak-smoke"} <= _make_targets()
@@ -74,3 +107,11 @@ def test_scanner_sees_the_known_references():
     assert _code("we make those faster") == []
     assert [name for span in _code("run `make soak-smoke` first")
             for name in _MAKE.findall(span)] == ["soak-smoke"]
+    assert _imports("from repro.mac import (\n    PROTOCOLS,  # all five\n"
+                    "    WlanSimulator as Sim,\n)") == [
+        ("repro.mac", "PROTOCOLS"), ("repro.mac", "WlanSimulator")]
+    assert _imports("`from repro.runtime import run_trials`") == [
+        ("repro.runtime", "run_trials")]
+    assert _resolves("repro.mac", "engine")  # a submodule, not an attribute
+    assert not _resolves("repro.mac", "no_such_name")
+    assert not _resolves("repro.no_such_module", "x")

@@ -1,14 +1,13 @@
 """Bit-identity at any worker count, with and without tracing.
 
 The contract the zero-copy/batched execution layer must keep: every
-experiment entry point — PHY Monte-Carlo, MAC sweeps, deployments —
+experiment entry point — PHY Monte-Carlo and deployments —
 returns the exact same numbers at 1, 2, or 4 workers, whether chunks run
 through the batched executors or the scalar oracle, and an instrumented
 run produces byte-identical traces while matching the plain run's
 results.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -67,27 +66,6 @@ class TestPhyMonteCarlo:
             if reference_trace is None:
                 reference_trace = trace
             assert trace == reference_trace, w
-
-
-class TestMacSweep:
-    def _config(self):
-        from repro.mac.sweep import SweepConfig
-
-        return SweepConfig(
-            receiver_counts=(2, 3), payload_bytes=(256,), trials=2,
-            duration=0.2, calibration_payload=400, calibration_trials=2,
-        )
-
-    def test_identical_across_worker_counts(self):
-        from repro.mac.sweep import goodput_airtime_sweep
-
-        serial = goodput_airtime_sweep(self._config(), n_workers=1)
-        for w in WORKER_COUNTS:
-            cells = goodput_airtime_sweep(self._config(), n_workers=w)
-            assert [c.per_trial_goodput for c in cells] == \
-                [c.per_trial_goodput for c in serial], w
-            assert [c.mean_delay for c in cells] == \
-                [c.mean_delay for c in serial], w
 
 
 class TestDeployment:
