@@ -32,6 +32,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
+    return value
+
+
 def _add_obs_flags(sub) -> None:
     """Observability flags shared by the experiment subcommands."""
     sub.add_argument("--trace", metavar="PATH", default=None,
@@ -71,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     phy.add_argument("--seed", type=int, default=0)
     phy.add_argument("--workers", type=_positive_int, default=None,
                      help="process count for the trial runner (default: auto)")
-    phy.add_argument("--profile", action="store_true",
-                     help="run under cProfile, print top-20 by cumulative time")
     _add_obs_flags(phy)
 
     mac = sub.add_parser("mac", help="MAC goodput/latency comparison (Fig. 15/16)")
@@ -194,25 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
                            "'mean:goodput_bps<2e6@5', "
                            "'trend:goodput_bps<-1e5@5!drain'; policies: "
                            "log (default) / checkpoint / drain; repeatable")
-    soak.add_argument("--profile", action="store_true",
-                      help="capture cross-worker profiles; aggregated into "
-                           "the manifest's profile section")
     _add_obs_flags(soak)
 
     status = sub.add_parser(
-        "status", help="render a soak checkpoint's live health, telemetry "
-                       "tail, and cross-worker profile")
+        "status", help="render a soak checkpoint's live health and "
+                       "telemetry tail")
     status.add_argument("dir", help="soak checkpoint directory")
     status.add_argument("--follow", action="store_true",
                         help="re-render every --interval seconds until "
                              "interrupted")
-    status.add_argument("--interval", type=float, default=2.0,
+    status.add_argument("--interval", type=_positive_float, default=2.0,
                         metavar="SECONDS",
                         help="polling period for --follow (default: 2)")
     status.add_argument("--tail", type=_positive_int, default=8,
                         help="telemetry epochs to show (default: 8)")
-    status.add_argument("--top", type=_positive_int, default=10,
-                        help="profile function rows (default: 10)")
 
     report = sub.add_parser(
         "report", help="render a JSONL trace into per-layer summary tables "
@@ -391,34 +391,33 @@ def _cmd_net(args) -> int:
 def _cmd_soak(args) -> int:
     from repro.serve import SoakConfig, SoakWorkload, run_soak
 
-    workload = SoakWorkload(
-        seed=args.seed,
-        n_aps=args.aps,
-        max_stas_per_ap=args.max_stas_per_ap,
-        target_active_stas=args.target_active_stas,
-        epoch_duration=args.epoch_duration,
-        traffic=args.traffic,
-        trace_model=args.trace_model,
-        protocol=args.protocol,
-        channels=args.channels,
-        with_background=args.background,
-    )
-    config = SoakConfig(
-        workload=workload,
-        fault_profile=args.fault_profile,
-        checkpoint_dir=args.checkpoint,
-        resume=args.resume,
-        epochs=args.epochs,
-        max_users=args.users,
-        max_wall_seconds=args.duration,
-        n_workers=args.workers,
-        shards=args.shards,
-        checkpoint_every=args.checkpoint_every,
-        telemetry=args.telemetry,
-        slos=tuple(args.slos),
-        profile=args.profile,
-    )
     try:
+        workload = SoakWorkload(
+            seed=args.seed,
+            n_aps=args.aps,
+            max_stas_per_ap=args.max_stas_per_ap,
+            target_active_stas=args.target_active_stas,
+            epoch_duration=args.epoch_duration,
+            traffic=args.traffic,
+            trace_model=args.trace_model,
+            protocol=args.protocol,
+            channels=args.channels,
+            with_background=args.background,
+        )
+        config = SoakConfig(
+            workload=workload,
+            fault_profile=args.fault_profile,
+            checkpoint_dir=args.checkpoint,
+            resume=args.resume,
+            epochs=args.epochs,
+            max_users=args.users,
+            max_wall_seconds=args.duration,
+            n_workers=args.workers,
+            shards=args.shards,
+            checkpoint_every=args.checkpoint_every,
+            telemetry=args.telemetry,
+            slos=tuple(args.slos),
+        )
         summary = run_soak(config)
     except (FileNotFoundError, ValueError) as exc:
         print(f"soak: {exc}", file=sys.stderr)
@@ -449,7 +448,7 @@ def _cmd_report(args) -> int:
     if os.path.isdir(args.path):
         # A soak checkpoint directory: render its live status instead.
         try:
-            print(format_status(args.path, top=args.top), end="")
+            print(format_status(args.path), end="")
         except ValueError as exc:
             print(f"malformed telemetry: {exc}", file=sys.stderr)
             return 2
@@ -492,8 +491,7 @@ def _cmd_status(args) -> int:
     try:
         while True:
             try:
-                rendered = format_status(args.dir, tail=args.tail,
-                                         top=args.top)
+                rendered = format_status(args.dir, tail=args.tail)
             except ValueError as exc:
                 print(f"malformed telemetry: {exc}", file=sys.stderr)
                 return 2
@@ -535,25 +533,10 @@ def _print_metrics_summary(snapshot: dict) -> None:
             print(f"{name:<{width}}  {count:>8}  {total:>9.4f}s  {mean:>9.6f}s")
 
 
-def _profiled(fn, args) -> int:
-    """Run ``fn(args)`` under cProfile; print the top 20 by cumulative time."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    status = profiler.runcall(fn, args)
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    print("\n--- cProfile: top 20 by cumulative time ---")
-    stats.sort_stats("cumulative").print_stats(20)
-    return status
-
-
 def _dispatch(args) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "phy":
-        if args.profile:
-            return _profiled(_cmd_phy, args)
         return _cmd_phy(args)
     if args.command == "mac":
         return _cmd_mac(args)

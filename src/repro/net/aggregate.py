@@ -25,8 +25,9 @@ per-station delivered bytes as exact integers:
   and squared only at finalisation.
 
 The accumulator pickles compactly (plain ints and partials lists): it is
-the only thing that crosses the worker pipe in a sharded run, and the
-bench gates on that traffic staying small.
+the only thing that crosses the worker pipe in a sharded run, and
+``runtime.ipc_result_bytes`` in the ``bench/run.py --traced`` ledger
+reads that traffic per layer.
 """
 
 from __future__ import annotations

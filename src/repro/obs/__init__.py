@@ -18,9 +18,6 @@ plus the live-run layer grown for soak-scale service:
 * **SLO watchdogs** (:mod:`repro.obs.slo`) — declarative threshold /
   rolling-window / trend rules over those series, driving ``health.json``
   and breach policies (log / checkpoint / drain),
-* **cross-worker profiling** (:mod:`repro.obs.profile`) — mergeable
-  per-stage timings and top-function cProfile stats folded back from
-  ``runtime.trials`` workers like trace chunks,
 
 and a renderer (:mod:`repro.obs.report`) behind the CLI ``report``/
 ``status`` subcommands plus the library-wide ``repro`` logger
@@ -29,14 +26,6 @@ and a renderer (:mod:`repro.obs.report`) behind the CLI ``report``/
 
 from .log import configure_logging, get_logger
 from .manifest import RunManifest, config_hash, git_sha, write_manifest
-from .profile import (
-    ProfileCollector,
-    disable_profiling,
-    enable_profiling,
-    profile_capture,
-    profile_collector,
-    profiling_enabled,
-)
 from .slo import SloBreach, SloSpec, SloWatchdog, read_health, write_health
 from .telemetry import (
     TelemetrySeries,
@@ -106,12 +95,6 @@ __all__ = [
     "write_manifest",
     "git_sha",
     "config_hash",
-    "ProfileCollector",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
-    "profile_collector",
-    "profile_capture",
     "SloSpec",
     "SloBreach",
     "SloWatchdog",

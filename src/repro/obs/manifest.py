@@ -75,7 +75,7 @@ def config_hash(config) -> Optional[str]:
 @dataclass
 class RunManifest:
     """Provenance for one invocation (``run_trials`` batch, deployment,
-    or bench suite)."""
+    or soak)."""
 
     kind: str
     seed: Optional[int] = None
@@ -90,10 +90,6 @@ class RunManifest:
     trace_path: Optional[str] = None
     n_events: int = 0
     metrics: dict = field(default_factory=dict)
-    #: Aggregated cross-worker profile (see
-    #: :meth:`repro.obs.profile.ProfileCollector.to_manifest_section`),
-    #: or ``None`` when the run was not profiled.
-    profile: Optional[dict] = None
     manifest_version: int = MANIFEST_VERSION
     argv: list = field(default_factory=lambda: list(sys.argv))
 
@@ -103,7 +99,7 @@ class RunManifest:
 
 def write_manifest(path, *, kind, seed=None, config=None, metrics=None,
                    wall_seconds=None, cpu_seconds=None, trace_path=None,
-                   n_events=0, profile=None) -> RunManifest:
+                   n_events=0) -> RunManifest:
     """Build a :class:`RunManifest` and write it to ``path`` atomically."""
     try:
         import numpy
@@ -122,7 +118,6 @@ def write_manifest(path, *, kind, seed=None, config=None, metrics=None,
         trace_path=os.fspath(trace_path) if trace_path is not None else None,
         n_events=n_events,
         metrics=metrics or {},
-        profile=profile,
     )
     path = os.fspath(path)
     tmp = path + ".tmp"
@@ -141,8 +136,7 @@ def manifest_scope(path=None, *, kind, seed=None, config=None):
     CPU clocks, run, write a manifest carrying the timings and the
     ambient metrics — in one scope. ``path=None`` still measures but
     writes nothing, so callers can wrap unconditionally. Deployment runs
-    use this today; the planned ``serve``/soak drivers are expected to
-    share it.
+    use this.
 
     The metrics snapshot is taken at exit from the ambient registry
     (:func:`repro.obs.trace.metrics`), which is a no-op dict when

@@ -188,10 +188,10 @@ def _fmt_rate(bps: float) -> str:
     return f"{bps / 1e6:.2f}"
 
 
-def format_status(directory, *, tail: int = 8, top: int = 10) -> str:
+def format_status(directory, *, tail: int = 8) -> str:
     """One render of a soak checkpoint's live state: ``health.json``
-    verdict, the last ``tail`` telemetry epochs, and the manifest's
-    cross-worker profile — what ``repro status <dir>`` prints.
+    verdict and the last ``tail`` telemetry epochs — what
+    ``repro status <dir>`` prints.
 
     Reads only the atomic / append-only artifacts, so it is safe to run
     against a directory a live soak is actively writing.
@@ -254,39 +254,5 @@ def format_status(directory, *, tail: int = 8, top: int = 10) -> str:
     else:
         lines.append("(no telemetry.jsonl — run with --telemetry)")
         lines.append("")
-
-    manifest_path = os.path.join(directory, "manifest.json")
-    profile = None
-    if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            profile = json.load(fh).get("profile")
-    if profile:
-        stages = profile.get("stages", {})
-        if stages:
-            lines.append("Profile stages")
-            width = max(len(s) for s in stages)
-            for stage in sorted(stages):
-                data = stages[stage]
-                lines.append(
-                    f"  {stage:<{width}}  {data['count']:>7}x  "
-                    f"wall {data['wall_s']:>9.4f}s  cpu {data['cpu_s']:>9.4f}s")
-            lines.append("")
-        layers = profile.get("layers", {})
-        if layers:
-            lines.append("Profile by layer (tottime)")
-            width = max(len(layer) for layer in layers)
-            for layer, seconds in layers.items():
-                lines.append(f"  {layer:<{width}}  {seconds:>9.4f}s")
-            lines.append("")
-        functions = profile.get("top_functions", ())[:top]
-        if functions:
-            lines.append(f"Top functions (by tottime, top {len(functions)})")
-            for row in functions:
-                name = row["function"]
-                if len(name) > 72:
-                    name = "…" + name[-71:]
-                lines.append(
-                    f"  {row['tottime']:>9.4f}s  {row['ncalls']:>9}  {name}")
-            lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"

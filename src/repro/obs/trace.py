@@ -49,13 +49,6 @@ from typing import Optional
 
 from ..util.rng import derive_seed
 from .metrics import NULL_REGISTRY, MetricsRegistry
-from .profile import (
-    ProfileCollector,
-    disable_profiling,
-    enable_profiling,
-    profile_collector,
-    profiling_enabled,
-)
 
 __all__ = [
     "TraceRecorder",
@@ -240,9 +233,9 @@ def collecting(*, ship_to_workers: bool = False):
     """Install a fresh registry for the duration of the block and yield it,
     restoring the prior ambient state on exit.
 
-    The bench harness uses this to fold pool/cache/retry counts into the
-    ``observability`` section of ``BENCH_*.json`` without disturbing an
-    outer ``--metrics`` session (the previous registry comes back intact).
+    The ``bench/`` workloads read pool counters through this without
+    disturbing an outer ``--metrics`` session (the previous registry comes
+    back intact).
     """
     global _REGISTRY, _SHIP_METRICS
     prev_registry, prev_ship = _REGISTRY, _SHIP_METRICS
@@ -280,12 +273,11 @@ def suspended():
 @dataclass
 class ObsChunk:
     """What an instrumented worker chunk returns: the trial results plus
-    the events/metrics/profile captured while computing them."""
+    the events/metrics captured while computing them."""
 
     results: list
     events: Optional[list] = None
     metrics: Optional[dict] = None
-    profile: Optional[dict] = None
 
 
 def worker_spec() -> Optional[dict]:
@@ -294,16 +286,13 @@ def worker_spec() -> Optional[dict]:
 
     Tracing always ships (a trace with holes where the workers ran is
     useless); metrics ship only when :func:`enable_metrics` was called
-    with ``ship_to_workers=True``; profile capture ships whenever the
-    ambient profile collector is installed.
+    with ``ship_to_workers=True``.
     """
     want_trace = _RECORDER is not None
     want_metrics = metrics_enabled() and _SHIP_METRICS
-    want_profile = profiling_enabled()
-    if not want_trace and not want_metrics and not want_profile:
+    if not want_trace and not want_metrics:
         return None
     spec = {"trace": want_trace, "metrics": want_metrics,
-            "profile": want_profile,
             "sample_every": 0, "deterministic": False}
     if want_trace:
         spec["sample_every"] = _RECORDER.sample_every
@@ -329,32 +318,21 @@ def chunk_capture(spec: Optional[dict]):
         recorder = TraceRecorder(None, sample_every=spec["sample_every"],
                                  deterministic=spec["deterministic"])
     registry = MetricsRegistry() if spec.get("metrics") else None
-    collector = ProfileCollector() if spec.get("profile") else None
 
     global _REGISTRY, _SHIP_METRICS
     prev_recorder = set_recorder(recorder)
     prev_registry, prev_ship = _REGISTRY, _SHIP_METRICS
     if registry is not None:
         _REGISTRY, _SHIP_METRICS = registry, False
-    prev_collector = None
-    if collector is not None:
-        prev_collector = disable_profiling()
-        enable_profiling(collector)
     try:
         yield lambda results: ObsChunk(
             results=results,
             events=recorder.events if recorder is not None else None,
             metrics=registry.to_dict() if registry is not None else None,
-            profile=collector.snapshot() if collector is not None else None,
         )
     finally:
         set_recorder(prev_recorder)
         _REGISTRY, _SHIP_METRICS = prev_registry, prev_ship
-        if collector is not None:
-            if prev_collector is not None:
-                enable_profiling(prev_collector)
-            else:
-                disable_profiling()
 
 
 def ingest_chunk(chunk):
@@ -368,10 +346,6 @@ def ingest_chunk(chunk):
             recorder.ingest(chunk.events)
     if chunk.metrics:
         metrics().merge_dict(chunk.metrics)
-    if chunk.profile:
-        collector = profile_collector()
-        if collector is not None:
-            collector.merge_snapshot(chunk.profile)
     return chunk.results
 
 

@@ -69,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.log import get_logger
-from ..obs.profile import profile_capture
 from ..obs.trace import (
     active_recorder,
     chunk_capture,
@@ -421,8 +420,8 @@ def _run_trial_chunk(fn, seed, n_trials, start, stop, args, obs_spec=None,
     (micro-seconds per child), so this costs nothing measurable.
 
     ``obs_spec`` (only passed on pool submissions, and only when the
-    parent has observability on) makes the worker capture its own events,
-    metrics, and profile spans under a fresh local capture state and return an
+    parent has observability on) makes the worker capture its own events
+    and metrics under a fresh local capture state and return an
     ``ObsChunk`` for the parent to fold back in span order. With it
     ``None`` — every uninstrumented run — the plain results list comes
     back untouched. Serial in-process calls leave it ``None`` too: there
@@ -491,12 +490,7 @@ def _run_trial_chunk(fn, seed, n_trials, start, stop, args, obs_spec=None,
         return results
 
     with chunk_capture(obs_spec) as wrap:
-        # The profiled span must close before wrap() snapshots the
-        # worker-side collector, so the chunk's own timing is complete
-        # in the profile it ships home.
-        with profile_capture("trials.chunk"):
-            out = payload()
-        return wrap(out)
+        return wrap(payload())
 
 
 def _count_ipc_result(raw) -> None:

@@ -5,7 +5,7 @@ epoch workloads (:mod:`repro.serve.workload`), rolling fault schedules
 (:mod:`repro.serve.scheduler`), the checkpointing epoch loop
 (:mod:`repro.serve.service`), and atomic resume state
 (:mod:`repro.serve.checkpoint`). Driven by ``repro soak`` on the CLI and
-gated by the ``soak`` bench suite.
+measured by the ``soak`` workload of ``bench/run.py``.
 """
 
 from repro.serve.checkpoint import (

@@ -35,11 +35,6 @@ from repro.net.aggregate import DeploymentAggregate
 from repro.net.deployment import simulate_deployment
 from repro.obs.log import get_logger
 from repro.obs.manifest import config_hash, write_manifest
-from repro.obs.profile import (
-    disable_profiling,
-    enable_profiling,
-    profile_capture,
-)
 from repro.obs.slo import SloWatchdog, write_health
 from repro.obs.telemetry import (
     append_telemetry_record,
@@ -108,9 +103,6 @@ class SoakConfig:
     #: instances or their compact string form (``goodput_bps<2e6``,
     #: ``trend:goodput_bps<-1e5@5!drain``). Any rule implies telemetry.
     slos: tuple = ()
-    #: Capture cross-worker profiles and fold them into the manifest's
-    #: ``profile`` section. Wall-domain only.
-    profile: bool = False
 
     def __post_init__(self):
         if self.epochs is not None and self.epochs < 0:
@@ -206,12 +198,12 @@ _POOL_COUNTERS = ("runtime.pool_spawned", "runtime.pool_reused",
 def _sample_pool_counters() -> dict:
     """Current pool/IPC counter values from the *ambient* registry.
 
-    Real figures under ``--metrics`` (or a bench ``collecting()``
-    session); zeros otherwise. Telemetry deliberately does not install
-    its own registry: a live registry puts every parent-side timer and
-    the per-chunk IPC re-pickling on the hot path, and the telemetry
-    overhead budget the bench gates has no room for that. The epoch's
-    wall record carries deltas of whatever the ambient session measures.
+    Real figures under ``--metrics`` (or a ``collecting()`` session, as
+    the ``bench/`` workloads open); zeros otherwise. Telemetry
+    deliberately does not install its own registry: a live registry puts
+    every parent-side timer and the per-chunk IPC re-pickling on the hot
+    path of every telemetry-on soak. The epoch's wall record carries
+    deltas of whatever the ambient session measures.
     """
     if not metrics_enabled():
         return dict.fromkeys(_POOL_COUNTERS, 0)
@@ -340,16 +332,10 @@ def run_soak(config: SoakConfig) -> SoakSummary:
     breach_counter = reg.counter("serve.slo_breaches")
     epoch_timer = reg.timer("serve.epoch")
     # Times the telemetry machinery itself (sampling, the record append,
-    # watchdog evaluation, the health write) — under a ``--metrics`` or
-    # bench session, serve.observe / serve.epoch is the paired, same-run
-    # measurement of telemetry overhead the soak bench gates on.
+    # watchdog evaluation, the health write) — under a ``--metrics``
+    # session, serve.observe / serve.epoch is the paired, same-run
+    # measurement of telemetry overhead.
     observe_timer = reg.timer("serve.observe")
-
-    profiler = None
-    prev_profiler = None
-    if config.profile:
-        prev_profiler = disable_profiling()  # save any ambient collector
-        profiler = enable_profiling()
 
     start_wall = time.perf_counter()
     epochs_this_run = 0
@@ -379,119 +365,110 @@ def run_soak(config: SoakConfig) -> SoakSummary:
                 "cumulative_users": cumulative_users,
                 "cumulative_frames": cumulative_frames,
             },
-            profile=(profiler.to_manifest_section()
-                     if profiler is not None else None),
         )
 
-    try:
-        with _DrainSignals() as drain:
-            for spec in iter_epochs(workload, start=cursor):
-                if config.epochs is not None and spec.index >= config.epochs:
-                    break
-                if (config.max_users is not None
-                        and cumulative_users >= config.max_users):
-                    break
-                if (config.max_wall_seconds is not None
-                        and time.perf_counter() - start_wall
-                        >= config.max_wall_seconds):
-                    interrupted = True
-                    break
-                if drain.stop:
-                    interrupted = True
-                    break
+    with _DrainSignals() as drain:
+        for spec in iter_epochs(workload, start=cursor):
+            if config.epochs is not None and spec.index >= config.epochs:
+                break
+            if (config.max_users is not None
+                    and cumulative_users >= config.max_users):
+                break
+            if (config.max_wall_seconds is not None
+                    and time.perf_counter() - start_wall
+                    >= config.max_wall_seconds):
+                interrupted = True
+                break
+            if drain.stop:
+                interrupted = True
+                break
 
-                plan = rolling_fault_plan(
-                    config.fault_profile, spec.index, workload.epoch_duration
+            plan = rolling_fault_plan(
+                config.fault_profile, spec.index, workload.epoch_duration
+            )
+            epoch_config = deployment_config(workload, spec,
+                                             extra_faults=plan)
+            # Telemetry observes the epoch from the outside — the
+            # simulation call below is byte-for-byte the same with
+            # telemetry on or off (its deterministic counters ride
+            # the DeploymentAggregate, not a shipped registry), so
+            # turning it on cannot perturb what it measures.
+            pool_before = (_sample_pool_counters() if telemetry_on
+                           else {})
+            epoch_t0 = time.perf_counter()
+            with epoch_timer.time():
+                _, epoch_agg = simulate_deployment(
+                    epoch_config,
+                    n_workers=config.n_workers,
+                    use_cache=False,
+                    shards=config.shards,
+                    return_aggregate=True,
                 )
-                epoch_config = deployment_config(workload, spec,
-                                                 extra_faults=plan)
-                # Telemetry observes the epoch from the outside — the
-                # simulation call below is byte-for-byte the same with
-                # telemetry on or off (its deterministic counters ride
-                # the DeploymentAggregate, not a shipped registry), so
-                # turning it on cannot perturb what it measures.
-                pool_before = (_sample_pool_counters() if telemetry_on
-                               else {})
-                epoch_t0 = time.perf_counter()
-                with epoch_timer.time(), profile_capture("serve.epoch"):
-                    _, epoch_agg = simulate_deployment(
-                        epoch_config,
-                        n_workers=config.n_workers,
-                        use_cache=False,
-                        shards=config.shards,
-                        return_aggregate=True,
+            epoch_wall = time.perf_counter() - epoch_t0
+            offered = _count_offered(workload, spec)
+            rolling.merge(epoch_agg)
+            cursor = spec.index + 1
+            cumulative_users += workload.n_aps * spec.stas_per_ap
+            cumulative_frames += int(epoch_agg.transmissions)
+            epochs_this_run += 1
+            epochs_counter.inc()
+            users_counter.inc(workload.n_aps * spec.stas_per_ap)
+            frames_counter.inc(int(epoch_agg.transmissions))
+
+            append_epoch_record(config.checkpoint_dir, {
+                "epoch": spec.index,
+                "seed": spec.seed,
+                "stas_per_ap": spec.stas_per_ap,
+                "frame_bytes": spec.frame_bytes,
+                "frames_per_second": spec.frames_per_second,
+                "offered_frames": offered,
+                "transmissions": int(epoch_agg.transmissions),
+                "collisions": int(epoch_agg.collisions),
+                "dropped_frames": int(epoch_agg.dropped_frames),
+                "goodput_bps": epoch_agg.total_goodput_bps(),
+                "useful_goodput_bps": epoch_agg.total_useful_goodput_bps(),
+                "busy_airtime_s": epoch_agg.busy_airtime_s(),
+                "jain_fairness": epoch_agg.jain_fairness(),
+                "rolling_goodput_bps": rolling.total_goodput_bps(),
+                "cumulative_users": cumulative_users,
+                "cumulative_frames": cumulative_frames,
+            })
+            dirty = True
+
+            if telemetry_on:
+                with observe_timer.time():
+                    pool_after = _sample_pool_counters()
+                    _observe_epoch(
+                        config, watchdog, breach_counter,
+                        epoch=spec.index, spec=spec, epoch_agg=epoch_agg,
+                        rolling=rolling, offered=offered,
+                        pool_deltas={k: pool_after[k] - pool_before[k]
+                                     for k in pool_after},
+                        epoch_wall=epoch_wall, cursor=cursor,
                     )
-                epoch_wall = time.perf_counter() - epoch_t0
-                offered = _count_offered(workload, spec)
-                rolling.merge(epoch_agg)
-                cursor = spec.index + 1
-                cumulative_users += workload.n_aps * spec.stas_per_ap
-                cumulative_frames += int(epoch_agg.transmissions)
-                epochs_this_run += 1
-                epochs_counter.inc()
-                users_counter.inc(workload.n_aps * spec.stas_per_ap)
-                frames_counter.inc(int(epoch_agg.transmissions))
-
-                append_epoch_record(config.checkpoint_dir, {
-                    "epoch": spec.index,
-                    "seed": spec.seed,
-                    "stas_per_ap": spec.stas_per_ap,
-                    "frame_bytes": spec.frame_bytes,
-                    "frames_per_second": spec.frames_per_second,
-                    "offered_frames": offered,
-                    "transmissions": int(epoch_agg.transmissions),
-                    "collisions": int(epoch_agg.collisions),
-                    "dropped_frames": int(epoch_agg.dropped_frames),
-                    "goodput_bps": epoch_agg.total_goodput_bps(),
-                    "useful_goodput_bps": epoch_agg.total_useful_goodput_bps(),
-                    "busy_airtime_s": epoch_agg.busy_airtime_s(),
-                    "jain_fairness": epoch_agg.jain_fairness(),
-                    "rolling_goodput_bps": rolling.total_goodput_bps(),
-                    "cumulative_users": cumulative_users,
-                    "cumulative_frames": cumulative_frames,
-                })
-                dirty = True
-
-                if telemetry_on:
-                    with observe_timer.time():
-                        pool_after = _sample_pool_counters()
-                        _observe_epoch(
-                            config, watchdog, breach_counter,
-                            epoch=spec.index, spec=spec, epoch_agg=epoch_agg,
-                            rolling=rolling, offered=offered,
-                            pool_deltas={k: pool_after[k] - pool_before[k]
-                                         for k in pool_after},
-                            epoch_wall=epoch_wall, cursor=cursor,
-                        )
-                    if watchdog.wants_drain() and not drain.stop:
-                        drain.stop = True
-                        log.warning(
-                            "SLO drain policy tripped at epoch %d: draining "
-                            "after this checkpoint", spec.index)
-                    if watchdog.wants_checkpoint() and dirty:
-                        checkpoint(cursor)
-                        dirty = False
-
-                if dirty and epochs_this_run % config.checkpoint_every == 0:
+                if watchdog.wants_drain() and not drain.stop:
+                    drain.stop = True
+                    log.warning(
+                        "SLO drain policy tripped at epoch %d: draining "
+                        "after this checkpoint", spec.index)
+                if watchdog.wants_checkpoint() and dirty:
                     checkpoint(cursor)
                     dirty = False
-                log.info(
-                    "epoch %d: %d STAs/AP, %d tx, goodput %.2f Mbit/s "
-                    "(%d users cumulative)",
-                    spec.index, spec.stas_per_ap, int(epoch_agg.transmissions),
-                    epoch_agg.total_goodput_bps() / 1e6, cumulative_users,
-                )
 
-        # The final checkpoint always lands, whatever ended the loop — a
-        # budget, a drain signal, or a caller-side wall clock.
-        if dirty or epochs_this_run == 0 or interrupted:
-            checkpoint(cursor)
-    finally:
-        if config.profile:
-            if prev_profiler is not None:
-                enable_profiling(prev_profiler)
-            else:
-                disable_profiling()
+            if dirty and epochs_this_run % config.checkpoint_every == 0:
+                checkpoint(cursor)
+                dirty = False
+            log.info(
+                "epoch %d: %d STAs/AP, %d tx, goodput %.2f Mbit/s "
+                "(%d users cumulative)",
+                spec.index, spec.stas_per_ap, int(epoch_agg.transmissions),
+                epoch_agg.total_goodput_bps() / 1e6, cumulative_users,
+            )
+
+    # The final checkpoint always lands, whatever ended the loop — a
+    # budget, a drain signal, or a caller-side wall clock.
+    if dirty or epochs_this_run == 0 or interrupted:
+        checkpoint(cursor)
     wall = time.perf_counter() - start_wall
     log.info("soak %s: %d epoch(s) this run, %d total, %d users, %s",
              run_hash, epochs_this_run, cursor, cumulative_users,

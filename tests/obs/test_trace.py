@@ -134,7 +134,6 @@ class TestWorkerCapture:
         recorder.sample_every = 5
         spec = worker_spec()
         assert spec == {"trace": True, "metrics": False,
-                        "profile": False,
                         "sample_every": 5, "deterministic": True}
 
     def test_worker_spec_ships_metrics_only_when_asked(self):
@@ -144,7 +143,6 @@ class TestWorkerCapture:
         enable_metrics(ship_to_workers=True)
         spec = worker_spec()
         assert spec == {"trace": False, "metrics": True,
-                        "profile": False,
                         "sample_every": 0, "deterministic": False}
         disable_metrics()
 

@@ -216,14 +216,6 @@ class TestTelemetry:
         assert summary.slo_status in ("degraded", "breached")
         assert read_health(tmp_path / "run")["status"] != "ok"
 
-    def test_profile_lands_in_manifest(self, tmp_path):
-        run_soak(_config(tmp_path, "run", epochs=2, profile=True))
-        paths = state_paths(tmp_path / "run")
-        with open(paths["manifest"]) as handle:
-            section = json.load(handle)["profile"]
-        assert section["stages"]["serve.epoch"]["count"] == 2
-        assert section["top_functions"]
-
     def test_no_profile_section_by_default(self, tmp_path):
         run_soak(_config(tmp_path, "run", epochs=1))
         paths = state_paths(tmp_path / "run")

@@ -22,9 +22,8 @@ class TestParser:
         assert args.protocols == ["Carpool"]
 
     def test_phy_perf_flags(self):
-        args = build_parser().parse_args(["phy", "--workers", "2", "--profile"])
+        args = build_parser().parse_args(["phy", "--workers", "2"])
         assert args.workers == 2
-        assert args.profile
         assert build_parser().parse_args(["phy"]).workers is None
 
     def test_soak_flags(self):
@@ -80,13 +79,6 @@ class TestCommands:
     def test_mac_unknown_protocol(self, capsys):
         assert main(["mac", "--protocols", "Bogus"]) == 2
 
-    def test_phy_profile(self, capsys):
-        assert main(["phy", "--trials", "1", "--payload", "120",
-                     "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "cProfile: top 20 by cumulative time" in out
-        assert "cumulative" in out  # the pstats column header
-
     def test_soak_run_and_resume(self, capsys, tmp_path):
         ckpt = str(tmp_path / "soak")
         base = ["soak", "--checkpoint", ckpt, "--aps", "2",
@@ -114,6 +106,17 @@ class TestCommands:
                      "--epochs", "1", "--resume"])
         assert code == 2
         assert "no checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload_args", [
+        ["--max-stas-per-ap", "8", "--epoch-duration", "0"],
+        ["--max-stas-per-ap", "2"],  # default --target-active-stas 6
+    ])
+    def test_soak_bad_workload_exits_2(self, capsys, tmp_path,
+                                       workload_args):
+        code = main(["soak", "--checkpoint", str(tmp_path / "soak"),
+                     "--epochs", "1", *workload_args])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("soak: ")
 
 
 class TestObsFlags:
@@ -143,6 +146,11 @@ class TestObsFlags:
     def test_trace_sample_rejects_nonpositive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["phy", "--trace-sample", "0"])
+
+    @pytest.mark.parametrize("interval", ["0", "-1"])
+    def test_status_interval_rejects_nonpositive(self, interval):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["status", "d", "--interval", interval])
 
 
 class TestObsCommands:

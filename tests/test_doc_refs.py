@@ -2,9 +2,11 @@
 
 Every ``make <target>`` quoted as code in the user-facing docs must be a
 Makefile target, every ``python -m repro <cmd>`` must be a subcommand
-of the CLI parser, and every ``from repro.X import a, b`` must import:
-each name is an attribute or a submodule of ``repro.X``. ROADMAP.md and CHANGES.md are history, and ``bench/``
-documents itself, so neither is checked.
+of the CLI parser, every ``--flag`` in such a command must be an option
+of that subcommand (or of the top-level parser), and every
+``from repro.X import a, b`` must import: each name is an attribute or a
+submodule of ``repro.X``. ROADMAP.md and CHANGES.md are history, and
+``bench/`` documents itself, so neither is checked.
 """
 
 import argparse
@@ -33,6 +35,16 @@ _INLINE = re.compile(r"`([^`\n]+)`")
 # `make` as a command word inside code, not the English verb in prose.
 _MAKE = re.compile(r"(?:^|[\s;&|(])make\s+([A-Za-z][\w.-]*)", re.M)
 _REPRO = re.compile(r"python3?\s+-m\s+repro\s+([A-Za-z][\w-]*)")
+# The rest of a repro command: to the end of the line or code span,
+# following ``\``-continued lines. A lookahead, so a second command on
+# the same line is still found on its own.
+_REPRO_ARGS = re.compile(
+    r"python3?\s+-m\s+repro\s+([A-Za-z][\w-]*)"
+    r"(?=((?:[^\n`]*\\\n)*[^\n`]*))")
+# Where a command's own arguments stop: the next command, a pipe or list
+# operator, or a shell comment.
+_COMMAND_END = re.compile(r"python3?\s+-m\s+repro\b|[|;&]|(?:^|\s)#")
+_FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 _TARGET = re.compile(r"^([A-Za-z][\w.-]*)\s*:(?!=)", re.M)
 _IMPORT = re.compile(r"\bfrom\s+(repro(?:\.\w+)*)\s+import\s+(\([^)]*\)|[^\n`]+)")
 
@@ -46,11 +58,28 @@ def _make_targets() -> set:
     return set(_TARGET.findall((ROOT / "Makefile").read_text()))
 
 
-def _subcommands() -> set:
+def _option_strings() -> dict:
+    """Each subcommand's option strings, top-level options included."""
     parser = build_parser()
     action = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction))
-    return set(action.choices)
+    top = set(parser._option_string_actions)
+    return {name: top | set(sub._option_string_actions)
+            for name, sub in action.choices.items()}
+
+
+def _subcommands() -> set:
+    return set(_option_strings())
+
+
+def _repro_flags(text: str) -> list:
+    """``(subcommand, --flag)`` for every flag a ``python -m repro`` command
+    passes; ``[--flag]`` (optional, in usage lines) counts too."""
+    pairs = []
+    for command, rest in _REPRO_ARGS.findall(text):
+        rest = _COMMAND_END.split(rest.replace("[", " ").replace("]", " "))[0]
+        pairs += [(command, flag) for flag in _FLAG.findall(rest)]
+    return pairs
 
 
 def _imports(text: str) -> list:
@@ -93,6 +122,15 @@ def test_repro_subcommands_exist(doc):
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=_ids(DOCS))
+def test_repro_flags_exist(doc):
+    options = _option_strings()
+    unknown = [f"repro {command} {flag}"
+               for command, flag in _repro_flags(doc.read_text())
+               if flag not in options.get(command, ())]
+    assert unknown == []
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=_ids(DOCS))
 def test_repro_imports_resolve(doc):
     missing = [f"from {module} import {name}"
                for module, name in _imports(doc.read_text())
@@ -104,6 +142,12 @@ def test_scanner_sees_the_known_references():
     # Guard against the regexes silently matching nothing.
     assert {"test", "bench-smoke", "soak-smoke"} <= _make_targets()
     assert {"phy", "soak", "status", "report"} <= _subcommands()
+    assert _repro_flags(
+        "python -m repro soak --epochs 8 \\\n    [--telemetry]  # --not-a-flag\n"
+        "`python3 -m repro status d --follow` | python -m repro report x --top 3"
+    ) == [("soak", "--epochs"), ("soak", "--telemetry"),
+          ("status", "--follow"), ("report", "--top")]
+    assert {"--log-level", "--checkpoint", "--slo"} <= _option_strings()["soak"]
     assert _code("we make those faster") == []
     assert [name for span in _code("run `make soak-smoke` first")
             for name in _MAKE.findall(span)] == ["soak-smoke"]
