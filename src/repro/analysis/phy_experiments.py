@@ -10,11 +10,17 @@ owns an independently seeded channel realisation (via
 ``np.random.SeedSequence.spawn``), so results are bit-identical whether the
 trials run serially or across a process pool — pass ``n_workers`` to any
 experiment to fan trials out over cores.
+
+Every experiment runs one executor, :func:`_decode_batch`: it transmits a
+chunk of trials and decodes them in tiles — one stacked
+:func:`decode_subframe_symbols_frozen_batch` call per tile for the
+standard receiver, one :func:`decode_subframe_symbols` call per trial with
+RTE. A traced run hands the same executor one trial at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +35,6 @@ from repro.phy import payload_codec
 from repro.phy.frontend import acquire
 from repro.phy.channel_estimation import equalize
 from repro.phy.mcs import Mcs, mcs_by_name
-from repro.phy.ofdm import split_symbol
 from repro.phy.pilots import track_and_compensate
 from repro.phy.transceiver import (
     PAYLOAD_SYMBOL_OFFSET,
@@ -133,28 +138,9 @@ def _trial_channel(link: LinkConfig, stream_name: str,
     return replace(link, seed=trial_seed).channel(stream_name)
 
 
-def _decode_standard_subframe(received, mcs, crc_config, use_rte, rte_rule,
-                              rte_guard=None):
-    """Front-end + SIG phase reference + subframe decode shared by trials."""
-    front = acquire(received)
-    sig_eq = equalize(front.derotated[SIG_SYMBOL_OFFSET], front.channel_estimate)
-    _, sig_phase = track_and_compensate(sig_eq, 0)
-    return decode_subframe_symbols(
-        front.derotated[PAYLOAD_SYMBOL_OFFSET:],
-        front.channel_estimate,
-        mcs,
-        first_pilot_index=1,
-        reference_phase=sig_phase,
-        crc_config=crc_config,
-        use_rte=use_rte,
-        rte_rule=rte_rule,
-        rte_guard=rte_guard,
-    )
-
-
-#: Trials decoded per stacked call of the batched executors; bounds the
-#: working set of the (n_trials, n_symbols, 52) intermediates without
-#: changing results (the decode is independent per trial).
+#: Trials decoded per stacked call; bounds the working set of the
+#: (n_trials, n_symbols, 52) intermediates without changing results (the
+#: decode is independent per trial).
 _BATCH_TILE = 64
 
 
@@ -169,81 +155,98 @@ def _frame_tables(frame, true_side_bits) -> dict:
     }
 
 
-def _decode_standard_batch(received_list, mcs, crc_config):
-    """Front-end per trial, then one stacked frozen decode for all trials.
+def _front_end(received):
+    """Acquire one frame: (payload block, channel estimate, SIG phase)."""
+    front = acquire(received)
+    sig_eq = equalize(front.derotated[SIG_SYMBOL_OFFSET], front.channel_estimate)
+    _, sig_phase = track_and_compensate(sig_eq, 0)
+    return front.derotated[PAYLOAD_SYMBOL_OFFSET:], front.channel_estimate, sig_phase
 
-    The cross-trial analogue of :func:`_decode_standard_subframe` with
-    ``use_rte=False``: acquisition and the SIG phase reference stay
-    per-trial (they are RNG-cheap), the payload decode runs as a single
-    (n_trials, n_symbols, 52) block. Bit-identical per trial.
+
+def _decode_batch(start, rngs, link, stream_name, mcs, crc_config, use_rte,
+                  rte_rule, rte_guard, tally):
+    """The executor of every PHY experiment: transmit, decode, tally.
+
+    Each trial sends the shared frame through its own channel realisation
+    (drawn from its RNG alone), so a chunk's results do not depend on how
+    trials are grouped. Trials decode in tiles of ``_BATCH_TILE``: one
+    stacked frozen call per tile, or — RTE being sequential within a
+    frame — one :func:`decode_subframe_symbols` call per trial. ``tally``
+    turns a tile's (bit_matrix, side_bits, crc_pass) stacks into one
+    outcome per trial.
     """
-    fronts = [acquire(received) for received in received_list]
-    sig_phases = np.empty(len(fronts))
-    for t, front in enumerate(fronts):
-        sig_eq = equalize(front.derotated[SIG_SYMBOL_OFFSET], front.channel_estimate)
-        _, sig_phases[t] = track_and_compensate(sig_eq, 0)
-    payload = np.stack([f.derotated[PAYLOAD_SYMBOL_OFFSET:] for f in fronts])
-    estimates = np.stack([f.channel_estimate for f in fronts])
-    return decode_subframe_symbols_frozen_batch(
-        payload, estimates, mcs, first_pilot_index=1,
-        reference_phases=sig_phases, crc_config=crc_config,
-    )
-
-
-def _ber_symbol_trial(trial_index, rng, link, mcs, crc_config, use_rte,
-                      rte_rule, rte_guard=None):
-    """One Fig. 3/13 trial: returns (per-symbol errors, CRC passes, side errs).
-
-    Reads the frame tables from the run's shared payload
-    (:func:`_frame_tables`), shipped to each worker once.
-    """
-    tables = shared_payload()
-    channel = _trial_channel(link, "ber-by-symbol", rng)
-    received = channel.transmit(tables["frame_symbols"])
-    bit_matrix, side_bits, crc_pass, _phases, _est, _eq = _decode_standard_subframe(
-        received, mcs, crc_config, use_rte, rte_rule, rte_guard
-    )
-    return (
-        (bit_matrix != tables["payload_bits"]).sum(axis=1),
-        int(crc_pass.sum()),
-        int((side_bits != tables["side_bits"]).sum()),
-    )
-
-
-def _ber_symbol_batch(start, rngs, link, mcs, crc_config, use_rte, rte_rule,
-                      rte_guard=None):
-    """Cross-trial batched executor for :func:`_ber_symbol_trial` chunks.
-
-    Transmits each trial's channel realisation from its own RNG (the
-    per-trial streams are untouched), then decodes the whole chunk as one
-    stacked frozen call. RTE decoding is sequential within a frame, so
-    ``use_rte=True`` falls back to the per-trial oracle.
-    """
-    if use_rte:
-        return [
-            _ber_symbol_trial(start + offset, rng, link, mcs, crc_config,
-                              use_rte, rte_rule, rte_guard)
-            for offset, rng in enumerate(rngs)
-        ]
     tables = shared_payload()
     outcomes = []
     for tile_start in range(0, len(rngs), _BATCH_TILE):
-        tile = rngs[tile_start:tile_start + _BATCH_TILE]
-        received_list = [
-            _trial_channel(link, "ber-by-symbol", rng).transmit(
-                tables["frame_symbols"])
-            for rng in tile
+        fronts = [
+            _front_end(_trial_channel(link, stream_name, rng).transmit(
+                tables["frame_symbols"]))
+            for rng in rngs[tile_start:tile_start + _BATCH_TILE]
         ]
-        bit_matrix, side_bits, crc_pass, _phases, _eq = _decode_standard_batch(
-            received_list, mcs, crc_config
-        )
-        data_errors = (bit_matrix != tables["payload_bits"][None]).sum(axis=2)
-        side_errors = (side_bits != tables["side_bits"][None]).sum(axis=(1, 2))
-        outcomes.extend(
-            (data_errors[t], int(crc_pass[t].sum()), int(side_errors[t]))
-            for t in range(len(tile))
-        )
+        if use_rte:
+            decoded = [
+                decode_subframe_symbols(
+                    payload, estimate, mcs, first_pilot_index=1,
+                    reference_phase=sig_phase, crc_config=crc_config,
+                    use_rte=True, rte_rule=rte_rule, rte_guard=rte_guard,
+                )[:3]
+                for payload, estimate, sig_phase in fronts
+            ]
+            stacks = [np.stack(column) for column in zip(*decoded)]
+        else:
+            payloads, estimates, sig_phases = (
+                np.stack(column) for column in zip(*fronts))
+            stacks = decode_subframe_symbols_frozen_batch(
+                payloads, estimates, mcs, first_pilot_index=1,
+                reference_phases=sig_phases, crc_config=crc_config,
+            )[:3]
+        outcomes.extend(tally(tables, *stacks))
     return outcomes
+
+
+def _decode_trial(trial_index, rng, *args):
+    """One trial: :func:`_decode_batch` on a chunk of one.
+
+    The per-trial executor ``run_trials`` uses when a trace recorder is
+    active, so a traced run decodes through the same code as a plain one.
+    """
+    return _decode_batch(trial_index, [rng], *args)[0]
+
+
+def _run_experiment(trials, link, stream_name, frame, true_side_bits, mcs,
+                    crc_config, tally, n_workers, use_rte=False,
+                    rte_rule="average", rte_guard=None) -> list:
+    """Run ``trials`` trials of one experiment; one ``tally`` outcome each."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return run_trials(
+        _decode_trial,
+        trials,
+        seed=derive_seed(link.seed, stream_name),
+        n_workers=n_workers,
+        args=(link, stream_name, mcs, crc_config, use_rte, rte_rule,
+              rte_guard, tally),
+        shared=_frame_tables(frame, true_side_bits),
+        batch_fn=_decode_batch,
+    )
+
+
+def _symbol_errors(tables, bit_matrix, side_bits, crc_pass):
+    """Fig. 3/13 tally: (per-symbol bit errors, CRC passes, side errors)."""
+    data_errors = (bit_matrix != tables["payload_bits"]).sum(axis=2)
+    side_errors = (side_bits != tables["side_bits"]).sum(axis=(1, 2))
+    return zip(data_errors, crc_pass.sum(axis=1).tolist(), side_errors.tolist())
+
+
+def _data_errors(tables, bit_matrix, side_bits, crc_pass):
+    """Fig. 11 tally: data-bit errors per trial."""
+    return (bit_matrix != tables["payload_bits"]).sum(axis=(1, 2)).tolist()
+
+
+def _side_and_data_errors(tables, bit_matrix, side_bits, crc_pass):
+    """Fig. 12 tally: (side-bit errors, data-bit errors) per trial."""
+    side_errors = (side_bits != tables["side_bits"]).sum(axis=(1, 2))
+    return zip(side_errors.tolist(), _data_errors(tables, bit_matrix, side_bits, crc_pass))
 
 
 def ber_by_symbol_index(
@@ -256,8 +259,6 @@ def ber_by_symbol_index(
     rte_rule="average",
     rte_guard=None,
     n_workers: int | None = 1,
-    batched: bool | None = None,
-    chunk_size: int | str | None = None,
 ) -> SymbolBerResult:
     """BER as a function of OFDM-symbol index within a long frame.
 
@@ -269,27 +270,12 @@ def ber_by_symbol_index(
 
     ``n_workers`` fans the trials out over a process pool (``None``
     auto-detects the core count); results are identical for any value.
-    ``batched`` routes whole chunks of trials through the stacked frozen
-    decode (one vectorised call per chunk instead of one per trial) —
-    ``None`` enables it whenever the frozen path applies
-    (``use_rte=False``); ``False`` forces the per-trial reference
-    executor. Results are bit-identical either way. ``chunk_size`` is
-    forwarded to :func:`run_trials` (``"auto"`` sizes chunks from
-    measured IPC cost — bigger chunks also mean bigger batched calls).
     """
     mcs = mcs_by_name(mcs_name)
     frame, true_side_bits = _make_frame(payload_bytes, mcs, crc_config, True, link.seed)
-    if batched is None:
-        batched = not use_rte
-    outcomes = run_trials(
-        _ber_symbol_trial,
-        trials,
-        seed=derive_seed(link.seed, "ber-by-symbol"),
-        n_workers=n_workers,
-        chunk_size=chunk_size,
-        args=(link, mcs, crc_config, use_rte, rte_rule, rte_guard),
-        shared=_frame_tables(frame, true_side_bits),
-        batch_fn=_ber_symbol_batch if batched else None,
+    outcomes = _run_experiment(
+        trials, link, "ber-by-symbol", frame, true_side_bits, mcs,
+        crc_config, _symbol_errors, n_workers, use_rte, rte_rule, rte_guard,
     )
     n_symbols = frame.n_payload_symbols
     bit_errors = np.zeros(n_symbols)
@@ -310,38 +296,6 @@ def ber_by_symbol_index(
         trials=trials,
         scheme="RTE" if use_rte else "Standard",
     )
-
-
-def _data_ber_trial(trial_index, rng, stream_name, cfg, mcs, crc_config):
-    """One Fig. 11 trial: returns the number of data-bit errors."""
-    tables = shared_payload()
-    channel = _trial_channel(cfg, stream_name, rng)
-    received = channel.transmit(tables["frame_symbols"])
-    bit_matrix, _, _, _, _, _ = _decode_standard_subframe(
-        received, mcs, crc_config, use_rte=False, rte_rule="average"
-    )
-    return int((bit_matrix != tables["payload_bits"]).sum())
-
-
-def _data_ber_batch(start, rngs, stream_name, cfg, mcs, crc_config):
-    """Stacked-decode executor for :func:`_data_ber_trial` chunks."""
-    tables = shared_payload()
-    errors = []
-    for tile_start in range(0, len(rngs), _BATCH_TILE):
-        tile = rngs[tile_start:tile_start + _BATCH_TILE]
-        received_list = [
-            _trial_channel(cfg, stream_name, rng).transmit(
-                tables["frame_symbols"])
-            for rng in tile
-        ]
-        bit_matrix, _, _, _, _ = _decode_standard_batch(
-            received_list, mcs, crc_config
-        )
-        errors.extend(
-            int(n) for n in
-            (bit_matrix != tables["payload_bits"][None]).sum(axis=(1, 2))
-        )
-    return errors
 
 
 def data_ber_with_side_channel(
@@ -367,55 +321,12 @@ def data_ber_with_side_channel(
     cfg = base.with_power(power_magnitude)
     mcs = mcs_by_name(mcs_name)
     frame, _ = _make_frame(payload_bytes, mcs, crc_config, inject, cfg.seed)
-    stream_name = f"fig11-{mcs_name}-{inject}"
-    errors = run_trials(
-        _data_ber_trial,
-        trials,
-        seed=derive_seed(cfg.seed, stream_name),
-        n_workers=n_workers,
-        args=(stream_name, cfg, mcs, crc_config),
-        shared=_frame_tables(frame, np.zeros(0, dtype=np.uint8)),
-        batch_fn=_data_ber_batch,
+    errors = _run_experiment(
+        trials, cfg, f"fig11-{mcs_name}-{inject}", frame,
+        np.zeros(0, dtype=np.uint8), mcs, crc_config, _data_errors, n_workers,
     )
     total = trials * frame.payload_bit_matrix.size
     return sum(errors) / total
-
-
-def _side_vs_data_trial(trial_index, rng, stream_name, cfg, mcs, crc_config):
-    """One Fig. 12 trial: returns (side-bit errors, data-bit errors)."""
-    tables = shared_payload()
-    channel = _trial_channel(cfg, stream_name, rng)
-    received = channel.transmit(tables["frame_symbols"])
-    bit_matrix, side_bits, _, _, _, _ = _decode_standard_subframe(
-        received, mcs, crc_config, use_rte=False, rte_rule="average"
-    )
-    return (
-        int((side_bits != tables["side_bits"]).sum()),
-        int((bit_matrix != tables["payload_bits"]).sum()),
-    )
-
-
-def _side_vs_data_batch(start, rngs, stream_name, cfg, mcs, crc_config):
-    """Stacked-decode executor for :func:`_side_vs_data_trial` chunks."""
-    tables = shared_payload()
-    outcomes = []
-    for tile_start in range(0, len(rngs), _BATCH_TILE):
-        tile = rngs[tile_start:tile_start + _BATCH_TILE]
-        received_list = [
-            _trial_channel(cfg, stream_name, rng).transmit(
-                tables["frame_symbols"])
-            for rng in tile
-        ]
-        bit_matrix, side_bits, _, _, _ = _decode_standard_batch(
-            received_list, mcs, crc_config
-        )
-        side_errors = (side_bits != tables["side_bits"][None]).sum(axis=(1, 2))
-        data_errors = (bit_matrix != tables["payload_bits"][None]).sum(axis=(1, 2))
-        outcomes.extend(
-            (int(side_errors[t]), int(data_errors[t]))
-            for t in range(len(tile))
-        )
-    return outcomes
 
 
 def side_channel_vs_data_ber(
@@ -450,15 +361,9 @@ def side_channel_vs_data_ber(
     cfg = base.with_power(power_magnitude)
     mcs = mcs_by_name(mcs_name)
     frame, true_side_bits = _make_frame(payload_bytes, mcs, crc_config, True, cfg.seed)
-    stream_name = f"fig12-{scheme_bits}bit"
-    outcomes = run_trials(
-        _side_vs_data_trial,
-        trials,
-        seed=derive_seed(cfg.seed, stream_name),
-        n_workers=n_workers,
-        args=(stream_name, cfg, mcs, crc_config),
-        shared=_frame_tables(frame, true_side_bits),
-        batch_fn=_side_vs_data_batch,
+    outcomes = _run_experiment(
+        trials, cfg, f"fig12-{scheme_bits}bit", frame, true_side_bits, mcs,
+        crc_config, _side_and_data_errors, n_workers,
     )
     side_errors = sum(side for side, _ in outcomes)
     data_errors = sum(data for _, data in outcomes)

@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     phy = sub.add_parser("phy", help="BER-vs-symbol-index (Fig. 3/13) experiment")
     phy.add_argument("--mcs", default="QAM64-3/4")
-    phy.add_argument("--trials", type=int, default=30)
-    phy.add_argument("--payload", type=int, default=4090)
+    phy.add_argument("--trials", type=_positive_int, default=30)
+    phy.add_argument("--payload", type=_positive_int, default=4090)
     phy.add_argument("--power", type=float, default=0.2)
     phy.add_argument("--seed", type=int, default=0)
     phy.add_argument("--workers", type=_positive_int, default=None,
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(phy)
 
     mac = sub.add_parser("mac", help="MAC goodput/latency comparison (Fig. 15/16)")
-    mac.add_argument("--stations", type=int, default=30)
+    mac.add_argument("--stations", type=_positive_int, default=30)
     mac.add_argument("--duration", type=float, default=8.0)
     mac.add_argument("--background", action="store_true")
     mac.add_argument("--seed", type=int, default=42)
@@ -103,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="injected ACK-loss rates (degradation mode)")
     faults.add_argument("--bursty", action="store_true",
                         help="add Gilbert–Elliott fades + A-HDR outage windows")
-    faults.add_argument("--stations", type=int, default=25)
+    faults.add_argument("--stations", type=_positive_int, default=25)
     faults.add_argument("--duration", type=float, default=3.0)
-    faults.add_argument("--trials", type=int, default=3)
+    faults.add_argument("--trials", type=_positive_int, default=3)
     faults.add_argument("--mcs", default="QAM64-3/4",
                         help="modulation for rte mode")
     faults.add_argument("--seed", type=int, default=7)

@@ -37,7 +37,7 @@ from repro.phy.constants import pilot_values
 from repro.phy.frontend import acquire
 from repro.phy.mimo import MimoChannel, zero_forcing_precoder
 from repro.phy.ofdm import assemble_symbol, split_symbol
-from repro.phy.pilots import track_and_compensate
+from repro.phy.pilots import track_and_compensate, track_and_compensate_block
 from repro.phy.preamble import LTF_SEQUENCE, ltf_symbol, stf_symbol
 from repro.phy.sig import SigDecodeError, SigField, decode_sig, encode_sig
 from repro.phy.transceiver import PREAMBLE_SYMBOLS
@@ -282,11 +282,8 @@ class MuMimoCarpoolReceiver:
         derotated = front.derotated
         legacy_channel = front.channel_estimate
 
-        ahdr_eq = np.empty((AHDR_SYMBOLS, 52), dtype=np.complex128)
-        for i in range(AHDR_SYMBOLS):
-            eq = equalize(derotated[PREAMBLE_SYMBOLS + i], legacy_channel)
-            eq, _ = track_and_compensate(eq, i)
-            ahdr_eq[i] = eq
+        ahdr_rx = derotated[PREAMBLE_SYMBOLS : PREAMBLE_SYMBOLS + AHDR_SYMBOLS]
+        ahdr_eq, _ = track_and_compensate_block(equalize(ahdr_rx, legacy_channel), 0)
         bloom = decode_ahdr(ahdr_eq)
 
         matched = [
@@ -332,13 +329,11 @@ class MuMimoCarpoolReceiver:
         if group.payload_start + n_payload > derotated.shape[0]:
             result.error = "SIG length overruns frame"
             return result
-        bit_rows = []
-        for t in range(n_payload):
-            eq = equalize(derotated[group.payload_start + t], h_own)
-            eq, _ = track_and_compensate(eq, pilot_index + 1 + t)
-            points, _ = split_symbol(eq)
-            bit_rows.append(sig.mcs.modulation.demodulate(points))
-        bit_matrix = np.stack(bit_rows)
+        payload_rx = derotated[group.payload_start : group.payload_start + n_payload]
+        payload_eq, _ = track_and_compensate_block(
+            equalize(payload_rx, h_own), pilot_index + 1
+        )
+        bit_matrix = payload_codec.symbols_to_bits(payload_eq, sig.mcs)
         result.bit_matrix = bit_matrix
         result.payload = payload_codec.decode_payload_bits(
             bit_matrix, sig.length_bytes, sig.mcs, self.coded

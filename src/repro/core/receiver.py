@@ -9,6 +9,14 @@ False positives in the A-HDR are handled exactly as §4.1 prescribes: every
 matched subframe is decoded; the MAC layer discards payloads whose
 destination address turns out not to be ours (we surface each decoded
 subframe with its position so the caller can do that check).
+
+A subframe decodes one of two ways. With RTE, :func:`decode_subframe_symbols`
+walks the frame symbol by symbol, because each CRC-passing group updates
+the estimate the next symbol is equalized with. Without RTE (the paper's
+"standard" receiver, estimate frozen at the preamble), every symbol is
+independent, and the frame decodes as a stack of one through
+:func:`decode_subframe_symbols_frozen_batch` — the same stacked decoder the
+PHY Monte-Carlo experiments run across trials.
 """
 
 from __future__ import annotations
@@ -28,12 +36,8 @@ from repro.phy.channel_estimation import equalize
 from repro.phy.constants import pilot_values
 from repro.phy.frontend import acquire
 from repro.phy.mcs import Mcs
-from repro.phy.ofdm import DATA_POSITIONS, PILOT_POSITIONS, assemble_symbol, split_symbol
-from repro.phy.pilots import (
-    pilot_reference_matrix,
-    track_and_compensate,
-    track_and_compensate_block,
-)
+from repro.phy.ofdm import assemble_symbol, split_symbol
+from repro.phy.pilots import track_and_compensate, track_and_compensate_block
 from repro.phy.sig import SigDecodeError, SigField, decode_sig
 
 __all__ = [
@@ -115,7 +119,11 @@ def decode_subframe_symbols(
         first_pilot_index: Pilot-polarity index of the first payload symbol.
         reference_phase: Tracked phase of the subframe's SIG symbol (the
             side channel's differential reference).
-        use_rte: False reproduces the "standard" baseline (estimate frozen).
+        use_rte: False reproduces the "standard" baseline (estimate
+            frozen): the frame decodes through
+            :func:`decode_subframe_symbols_frozen_batch` as a stack of one,
+            and the returned estimator only counts failed CRC groups in
+            ``skips``.
         rte_guard: Optional :class:`repro.core.rte.RteGuard` outlier policy
             (defaults to the per-subcarrier-only legacy guard).
 
@@ -142,11 +150,17 @@ def _decode_subframe_symbols(
                                   guard=rte_guard)
     if not use_rte:
         # The estimate never changes without RTE (CRC failures only bump a
-        # counter), so the whole symbol chain vectorises.
-        return _decode_subframe_symbols_frozen(
-            received, mcs, first_pilot_index, reference_phase, crc_config,
-            estimator,
+        # counter), so the frame decodes as a stack of one.
+        bit_matrix, side_bits, crc_pass, phases, equalized = (
+            decode_subframe_symbols_frozen_batch(
+                received[None], estimator.estimate[None], mcs,
+                first_pilot_index, np.array([reference_phase]), crc_config,
+            )
         )
+        estimator.skips = crc_config.num_groups(n_symbols) - int(
+            crc_pass[0, ::crc_config.granularity].sum())
+        return (bit_matrix[0], side_bits[0], crc_pass[0], phases[0],
+                estimator, equalized[0])
     rec = active_recorder()
     scope = metrics().scope("phy")
     crc_pass_ctr = scope.counter("crc_pass")
@@ -196,59 +210,14 @@ def _decode_subframe_symbols(
                      symbols=len(group))
         for j, _, _ in group:
             crc_pass[j] = ok
-        if ok and use_rte:
+        if ok:
             for j, derotated, points in group:
                 decided = mcs.modulation.remodulate(points)
                 known = assemble_symbol(decided, pilot_values(first_pilot_index + j))
                 estimator.update(derotated, known)
-        elif not ok:
+        else:
             estimator.skip()
         group = []
-
-    return bit_matrix, side_bits, crc_pass, phases, estimator, equalized
-
-
-def _decode_subframe_symbols_frozen(
-    received: np.ndarray,
-    mcs: Mcs,
-    first_pilot_index: int,
-    reference_phase: float,
-    crc_config: SymbolCrcConfig,
-    estimator: RealTimeEstimator,
-):
-    """Vectorised ``use_rte=False`` path: frozen channel estimate.
-
-    Equalization, phase tracking, demodulation and side-bit extraction run
-    as whole-block operations; bit-identical to the sequential loop since
-    no symbol's processing depends on an earlier symbol's outcome.
-    """
-    n_symbols = received.shape[0]
-    scheme = crc_config.scheme
-
-    equalized, phases = track_and_compensate_block(
-        equalize(received, estimator.estimate), first_pilot_index
-    )
-    data_points = equalized[:, DATA_POSITIONS]
-    bit_matrix = (
-        mcs.modulation.demodulate(data_points.reshape(-1))
-        .reshape(n_symbols, mcs.coded_bits_per_symbol)
-    )
-
-    previous = np.concatenate([[reference_phase], phases[:-1]])
-    deltas = np.angle(np.exp(1j * (phases - previous)))
-    side_bits = scheme.decode_deltas(deltas).reshape(n_symbols, scheme.bits_per_symbol)
-
-    scope = metrics().scope("phy")
-    crc_pass_ctr = scope.counter("crc_pass")
-    crc_fail_ctr = scope.counter("crc_fail")
-    crc_pass = np.zeros(n_symbols, dtype=bool)
-    for start in range(0, n_symbols, crc_config.granularity):
-        stop = min(start + crc_config.granularity, n_symbols)
-        ok = crc_config.check_group(crc_config.group_of(start), bit_matrix, side_bits)
-        (crc_pass_ctr if ok else crc_fail_ctr).inc()
-        crc_pass[start:stop] = ok
-        if not ok:
-            estimator.skip()
 
     return bit_matrix, side_bits, crc_pass, phases, estimator, equalized
 
@@ -263,47 +232,33 @@ def decode_subframe_symbols_frozen_batch(
 ):
     """Frozen-estimate decode of a whole stack of independent subframes.
 
-    The cross-trial form of :func:`decode_subframe_symbols` with
-    ``use_rte=False``: ``received_stack[t]`` is one trial's (n_symbols, 52)
-    payload block, ``channel_estimates[t]`` its LTF estimate and
-    ``reference_phases[t]`` its SIG phase reference. Every step —
-    equalization, pilot phase tracking, demodulation, side-bit extraction,
-    group CRC — is elementwise (or a fixed-order reduction) per trial, so
-    stacking trials along a leading axis is bit-identical to decoding each
-    trial on its own. All trials must share ``n_symbols`` and
-    ``first_pilot_index`` (true for Monte-Carlo repeats of one frame).
+    The one frozen-estimate decoder: :func:`decode_subframe_symbols` with
+    ``use_rte=False`` calls it on a stack of one. ``received_stack[t]`` is
+    one trial's (n_symbols, 52) payload block, ``channel_estimates[t]`` its
+    channel estimate and ``reference_phases[t]`` its SIG phase reference.
+    Every step — :func:`equalize`, :func:`track_and_compensate_block`,
+    :func:`payload_codec.symbols_to_bits`, side-bit extraction, group CRC —
+    is elementwise (or a fixed-order reduction) per trial, so stacking
+    trials along a leading axis is bit-identical to decoding each trial on
+    its own. All trials must share ``n_symbols`` and ``first_pilot_index``
+    (true for Monte-Carlo repeats of one frame).
 
-    The ``phy.crc_pass``/``phy.crc_fail`` counters advance by the same
-    totals as per-trial decoding; per-symbol trace sampling is not
-    supported here (callers fall back to the scalar path when a recorder
-    is active).
+    The ``phy.crc_pass``/``phy.crc_fail`` counters advance once per CRC
+    group. No per-symbol trace events are emitted (only the RTE loop
+    samples symbols), so a traced decode runs exactly as a plain one.
 
     Returns:
         (bit_matrix, side_bits, crc_pass, phases, equalized) — each the
         per-trial result stacked along axis 0.
     """
     with metrics().timer("phy.decode_subframe_batch").time():
-        received_stack = np.asarray(received_stack, dtype=np.complex128)
-        n_trials, n_symbols, _ = received_stack.shape
         scheme = crc_config.scheme
-
         estimates = np.asarray(channel_estimates, dtype=np.complex128)[:, None, :]
-        safe = np.where(np.abs(estimates) > 1e-12, estimates, 1.0)
-        equalized = received_stack / safe
-
-        expected_pilots = pilot_reference_matrix(first_pilot_index, n_symbols)
-        correlation = np.sum(
-            equalized[:, :, PILOT_POSITIONS] * np.conj(expected_pilots)[None],
-            axis=2,
+        equalized, phases = track_and_compensate_block(
+            equalize(received_stack, estimates), first_pilot_index
         )
-        phases = np.angle(correlation)
-        equalized = equalized * np.exp(-1j * phases)[:, :, None]
-
-        data_points = equalized[:, :, DATA_POSITIONS]
-        bit_matrix = (
-            mcs.modulation.demodulate(data_points.reshape(-1))
-            .reshape(n_trials, n_symbols, mcs.coded_bits_per_symbol)
-        )
+        bit_matrix = payload_codec.symbols_to_bits(equalized, mcs)
+        n_trials, n_symbols = phases.shape
 
         references = np.asarray(reference_phases, dtype=np.float64)[:, None]
         previous = np.concatenate([references, phases[:, :-1]], axis=1)
@@ -314,9 +269,8 @@ def decode_subframe_symbols_frozen_batch(
         )
 
         crc_pass = crc_config.check_groups_block(bit_matrix, side_bits)
-        groups = crc_pass[:, ::crc_config.granularity]
         n_groups = n_trials * crc_config.num_groups(n_symbols)
-        n_pass = int(groups.sum())
+        n_pass = int(crc_pass[:, ::crc_config.granularity].sum())
         scope = metrics().scope("phy")
         scope.counter("crc_pass").inc(n_pass)
         scope.counter("crc_fail").inc(n_groups - n_pass)

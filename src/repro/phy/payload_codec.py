@@ -134,9 +134,12 @@ def bits_to_symbols(bit_matrix: np.ndarray, mcs: Mcs, first_pilot_index: int,
 
 
 def symbols_to_bits(equalized_symbols: np.ndarray, mcs: Mcs) -> np.ndarray:
-    """Hard-demodulate (n_symbols, 52) equalized symbols to a bit matrix."""
+    """Hard-demodulate (..., n_symbols, 52) equalized symbols to bits.
+
+    Returns (..., n_symbols, coded_bits_per_symbol): one bit row per symbol,
+    with any leading axes (e.g. a stack of trials) kept.
+    """
     equalized_symbols = np.asarray(equalized_symbols, dtype=np.complex128)
-    n_symbols = equalized_symbols.shape[0]
-    data_points = equalized_symbols[:, DATA_POSITIONS]
+    data_points = equalized_symbols[..., DATA_POSITIONS]
     bits = mcs.modulation.demodulate(data_points.reshape(-1))
-    return bits.reshape(n_symbols, -1)
+    return bits.reshape(*equalized_symbols.shape[:-1], mcs.coded_bits_per_symbol)

@@ -80,25 +80,29 @@ def pilot_reference_matrix(first_index: int, n_symbols: int) -> np.ndarray:
 def estimate_phase_offsets(equalized_block: np.ndarray, first_index: int) -> np.ndarray:
     """Common-phase estimates for a whole block of equalized symbols.
 
-    Vectorised :func:`estimate_phase_offset` over an (n_symbols, 52) block
-    whose rows have consecutive pilot-polarity indices starting at
-    ``first_index``; returns (n_symbols,) phases, bit-identical to the
+    Vectorised :func:`estimate_phase_offset` over an (..., n_symbols, 52)
+    block whose rows have consecutive pilot-polarity indices starting at
+    ``first_index`` (any leading axes, e.g. a stack of trials, share that
+    indexing); returns (..., n_symbols) phases, bit-identical to the
     per-symbol loop.
     """
     equalized_block = np.asarray(equalized_block)
-    expected = pilot_reference_matrix(first_index, equalized_block.shape[0])
-    received = equalized_block[:, PILOT_POSITIONS]
-    correlation = np.sum(received * np.conj(expected), axis=1)
+    expected = pilot_reference_matrix(first_index, equalized_block.shape[-2])
+    # Fancy indexing leaves the pilot axis outermost in memory; made
+    # contiguous, every row sums its four pilots in the same order as the
+    # per-symbol form, whatever the leading shape.
+    received = np.ascontiguousarray(equalized_block[..., PILOT_POSITIONS])
+    correlation = np.sum(received * np.conj(expected), axis=-1)
     return np.angle(correlation)
 
 
 def track_and_compensate_block(equalized_block: np.ndarray, first_index: int):
     """Block form of :func:`track_and_compensate`.
 
-    Returns ``(compensated, phases)`` for an (n_symbols, 52) block; each
-    row is de-rotated by its own estimated common phase.
+    Returns ``(compensated, phases)`` for an (..., n_symbols, 52) block;
+    each row is de-rotated by its own estimated common phase.
     """
     equalized_block = np.asarray(equalized_block)
     phases = estimate_phase_offsets(equalized_block, first_index)
-    compensated = equalized_block * np.exp(-1j * phases)[:, None]
+    compensated = equalized_block * np.exp(-1j * phases)[..., None]
     return compensated, phases

@@ -98,6 +98,17 @@ class TestPhyExperiments:
         with pytest.raises(ValueError):
             side_channel_vs_data_ber(3, 0.1, trials=1)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_nonpositive_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ber_by_symbol_index("QPSK-1/2", 300, trials=trials, link=CLEAN)
+        with pytest.raises(ValueError, match="trials"):
+            data_ber_with_side_channel("QPSK-1/2", 0.2, trials=trials,
+                                       payload_bytes=300, link=CLEAN)
+        with pytest.raises(ValueError, match="trials"):
+            side_channel_vs_data_ber(2, 0.2, trials=trials, payload_bytes=300,
+                                     link=CLEAN)
+
 
 class TestCalibration:
     def test_symbol_failure_monotone_in_ber(self):

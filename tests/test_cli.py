@@ -152,6 +152,21 @@ class TestObsFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["status", "d", "--interval", interval])
 
+    @pytest.mark.parametrize("argv", [
+        ["phy", "--trials", "0"],
+        ["phy", "--trials", "-2"],
+        ["phy", "--payload", "0"],
+        ["phy", "--payload", "-5"],
+        ["faults", "--trials", "0"],
+        ["faults", "--stations", "0"],
+        ["mac", "--stations", "0"],
+    ])
+    def test_experiment_sizes_reject_nonpositive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestObsCommands:
     def test_traced_run_then_report(self, capsys, tmp_path):
