@@ -41,7 +41,7 @@ from repro.phy.transceiver import (
     SIG_SYMBOL_OFFSET,
     PhyTransmitter,
 )
-from repro.runtime.trials import run_trials, shared_payload
+from repro.runtime.trials import run_trials
 from repro.util.rng import RngStream, derive_seed
 
 __all__ = [
@@ -145,9 +145,8 @@ _BATCH_TILE = 64
 
 
 def _frame_tables(frame, true_side_bits) -> dict:
-    """The read-only per-run arrays every trial needs, as a ``shared=``
-    payload (one shared-memory shipment per worker instead of a pickled
-    copy of the frame per chunk)."""
+    """The read-only per-run arrays every trial needs; they travel to the
+    workers in ``run_trials(args=...)`` with every chunk."""
     return {
         "frame_symbols": frame.symbols,
         "payload_bits": frame.payload_bit_matrix,
@@ -163,8 +162,8 @@ def _front_end(received):
     return front.derotated[PAYLOAD_SYMBOL_OFFSET:], front.channel_estimate, sig_phase
 
 
-def _decode_batch(start, rngs, link, stream_name, mcs, crc_config, use_rte,
-                  rte_rule, rte_guard, tally):
+def _decode_batch(start, rngs, tables, link, stream_name, mcs, crc_config,
+                  use_rte, rte_rule, rte_guard, tally):
     """The executor of every PHY experiment: transmit, decode, tally.
 
     Each trial sends the shared frame through its own channel realisation
@@ -175,7 +174,6 @@ def _decode_batch(start, rngs, link, stream_name, mcs, crc_config, use_rte,
     turns a tile's (bit_matrix, side_bits, crc_pass) stacks into one
     outcome per trial.
     """
-    tables = shared_payload()
     outcomes = []
     for tile_start in range(0, len(rngs), _BATCH_TILE):
         fronts = [
@@ -224,9 +222,8 @@ def _run_experiment(trials, link, stream_name, frame, true_side_bits, mcs,
         trials,
         seed=derive_seed(link.seed, stream_name),
         n_workers=n_workers,
-        args=(link, stream_name, mcs, crc_config, use_rte, rte_rule,
-              rte_guard, tally),
-        shared=_frame_tables(frame, true_side_bits),
+        args=(_frame_tables(frame, true_side_bits), link, stream_name, mcs,
+              crc_config, use_rte, rte_rule, rte_guard, tally),
         batch_fn=_decode_batch,
     )
 

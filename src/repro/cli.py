@@ -32,10 +32,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {value}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
     return value
 
 
@@ -74,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     phy.add_argument("--mcs", default="QAM64-3/4")
     phy.add_argument("--trials", type=_positive_int, default=30)
     phy.add_argument("--payload", type=_positive_int, default=4090)
-    phy.add_argument("--power", type=float, default=0.2)
+    phy.add_argument("--power", type=_positive_float, default=0.2)
     phy.add_argument("--seed", type=int, default=0)
     phy.add_argument("--workers", type=_positive_int, default=None,
                      help="process count for the trial runner (default: auto)")
@@ -82,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mac = sub.add_parser("mac", help="MAC goodput/latency comparison (Fig. 15/16)")
     mac.add_argument("--stations", type=_positive_int, default=30)
-    mac.add_argument("--duration", type=float, default=8.0)
+    mac.add_argument("--duration", type=_positive_float, default=8.0)
     mac.add_argument("--background", action="store_true")
     mac.add_argument("--seed", type=int, default=42)
     mac.add_argument("--protocols", nargs="*", default=None,
@@ -98,13 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
                         default="degradation",
                         help="degradation: MAC sweep under ACK loss / bursty "
                              "fades; rte: naive-vs-hardened estimator BER")
-    faults.add_argument("--ack-loss", nargs="*", type=float,
+    faults.add_argument("--ack-loss", nargs="*", type=_fraction,
                         default=[0.0, 0.1, 0.2, 0.3],
                         help="injected ACK-loss rates (degradation mode)")
     faults.add_argument("--bursty", action="store_true",
                         help="add Gilbert–Elliott fades + A-HDR outage windows")
     faults.add_argument("--stations", type=_positive_int, default=25)
-    faults.add_argument("--duration", type=float, default=3.0)
+    faults.add_argument("--duration", type=_positive_float, default=3.0)
     faults.add_argument("--trials", type=_positive_int, default=3)
     faults.add_argument("--mcs", default="QAM64-3/4",
                         help="modulation for rte mode")
@@ -116,8 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     net = sub.add_parser(
         "net", help="multi-BSS deployment: protocol comparison at scale")
     net.add_argument("--aps", type=_positive_int, default=9)
-    net.add_argument("--stas-per-ap", type=int, default=6)
-    net.add_argument("--duration", type=float, default=3.0)
+    net.add_argument("--stas-per-ap", type=_non_negative_int, default=6)
+    net.add_argument("--duration", type=_positive_float, default=3.0)
     net.add_argument("--seed", type=int, default=42)
     net.add_argument("--channels", type=_positive_int, default=1,
                      help="non-overlapping channels (1 = worst-case coupling)")
@@ -126,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument("--ap-placement", choices=("grid", "poisson"), default="grid")
     net.add_argument("--mobility", action="store_true",
                      help="random-waypoint pedestrian mobility with roaming")
-    net.add_argument("--legacy-fraction", type=float, default=0.0,
+    net.add_argument("--legacy-fraction", type=_fraction, default=0.0,
                      help="fraction of STAs without Carpool capability")
     net.add_argument("--no-coupling", action="store_true",
                      help="disable inter-cell interference coupling")

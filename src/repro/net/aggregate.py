@@ -4,8 +4,8 @@
 ``run_cell`` ships) into deployment-wide metrics — goodput/airtime sums,
 per-cell moments, Jain fairness, coupling and error counters, and
 fixed-bin histograms — using the exactly-associative primitives from
-:mod:`repro.runtime.reduction`. That gives the streaming guarantee the
-sharded deployment path rests on::
+:mod:`repro.runtime.reduction`. That gives the guarantee the deployment
+driver, which folds cells chunk by chunk, rests on::
 
     shard merge ≡ single-shot, bit for bit, at any worker count or
     shard size.
@@ -25,9 +25,16 @@ per-station delivered bytes as exact integers:
   and squared only at finalisation.
 
 The accumulator pickles compactly (plain ints and partials lists): it is
-the only thing that crosses the worker pipe in a sharded run, and
+the only thing that crosses the worker pipe in a deployment run, and
 ``runtime.ipc_result_bytes`` in the ``bench/run.py --traced`` ledger
 reads that traffic per layer.
+
+An unsharded deployment also wants the per-cell breakdown. It opts into
+a *collecting* aggregate (``collect_cells=True``), which keeps every
+folded wire dict in ``cells``; merging concatenates them, so chunk
+accumulators merged in span order hand back the cells in trial order.
+The cells ride the pickle but never :meth:`DeploymentAggregate.to_dict`,
+which is the soak checkpoint format.
 """
 
 from __future__ import annotations
@@ -63,9 +70,11 @@ class DeploymentAggregate:
         "cell_goodput", "busy_fraction",
         "goodput_hist", "busy_hist",
         "fair_n", "fair_total", "fair_squares", "delivered_by_sta",
+        "cells",
     )
 
-    def __init__(self, track_stations: bool = False):
+    def __init__(self, track_stations: bool = False,
+                 collect_cells: bool = False):
         self.track_stations = bool(track_stations)
         self.n_cells = 0
         self.n_coupled_cells = 0
@@ -88,6 +97,8 @@ class DeploymentAggregate:
         self.fair_squares = 0
         # Mobility mode: station name → delivered bytes (exact integer).
         self.delivered_by_sta: dict = {}
+        # Collecting mode: every folded cell's wire dict, in fold order.
+        self.cells: list | None = [] if collect_cells else None
 
     # -- folding -------------------------------------------------------------
 
@@ -125,6 +136,8 @@ class DeploymentAggregate:
                 self.fair_n += 1
                 self.fair_total += delivered
                 self.fair_squares += delivered * delivered
+        if self.cells is not None:
+            self.cells.append(cell)
         return self
 
     def merge(self, other: "DeploymentAggregate") -> "DeploymentAggregate":
@@ -153,6 +166,8 @@ class DeploymentAggregate:
             self.delivered_by_sta[sta] = (
                 self.delivered_by_sta.get(sta, 0) + delivered
             )
+        if self.cells is not None:
+            self.cells.extend(other.cells)
         return self
 
     # -- finalisation --------------------------------------------------------
@@ -246,7 +261,7 @@ class DeploymentAggregate:
 
     def __reduce__(self):
         # One restore call over plain ints/lists: the accumulator *is*
-        # the sharded path's IPC traffic, so its pickle stays minimal.
+        # the deployment's IPC traffic, so its pickle stays minimal.
         return (_restore, (
             self.track_stations, self.n_cells, self.n_coupled_cells,
             self.collisions, self.transmissions,
@@ -260,14 +275,15 @@ class DeploymentAggregate:
             self.goodput_hist.counts,
             self.busy_hist.counts,
             self.fair_n, self.fair_total, self.fair_squares,
-            self.delivered_by_sta,
+            self.delivered_by_sta, self.cells,
         ))
 
 
 def _restore(track_stations, n_cells, n_coupled, collisions, transmissions,
              retx, dropped, demotions, repromotions, goodput, useful,
              airtime, cell_goodput, busy_fraction, goodput_counts,
-             busy_counts, fair_n, fair_total, fair_squares, delivered):
+             busy_counts, fair_n, fair_total, fair_squares, delivered,
+             cells):
     out = DeploymentAggregate(track_stations=track_stations)
     out.n_cells = n_cells
     out.n_coupled_cells = n_coupled
@@ -288,6 +304,7 @@ def _restore(track_stations, n_cells, n_coupled, collisions, transmissions,
     out.fair_total = fair_total
     out.fair_squares = fair_squares
     out.delivered_by_sta = delivered
+    out.cells = cells
     return out
 
 
@@ -300,13 +317,16 @@ def reduce_cell(acc: DeploymentAggregate, trial_index: int,
 class aggregate_factory:
     """Picklable ``reduce_init``: builds a mode-matched empty aggregate."""
 
-    __slots__ = ("track_stations",)
+    __slots__ = ("track_stations", "collect_cells")
 
-    def __init__(self, track_stations: bool = False):
+    def __init__(self, track_stations: bool = False,
+                 collect_cells: bool = False):
         self.track_stations = bool(track_stations)
+        self.collect_cells = bool(collect_cells)
 
     def __call__(self) -> DeploymentAggregate:
-        return DeploymentAggregate(track_stations=self.track_stations)
+        return DeploymentAggregate(track_stations=self.track_stations,
+                                   collect_cells=self.collect_cells)
 
     def __reduce__(self):
-        return (aggregate_factory, (self.track_stations,))
+        return (aggregate_factory, (self.track_stations, self.collect_cells))

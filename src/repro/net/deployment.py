@@ -11,26 +11,26 @@ the ``repro net`` CLI drive. It composes the rest of the package:
    overlap into per-cell fault plans.
 4. Each cell becomes one :class:`CellSpec` — a picklable, self-seeded
    unit of work — and the cells fan out over the persistent
-   :mod:`repro.runtime` pools via :func:`~repro.runtime.trials.run_trials`
-   with the spec list shipped once per worker as the ``shared=`` payload.
-5. Per-cell metrics fold through the mergeable
-   :class:`~repro.net.aggregate.DeploymentAggregate` into a
-   :class:`DeploymentResult` (total and useful goodput, busy airtime,
-   deployment-wide Jain fairness, roam statistics, per-cell moments and
-   histograms), which is stored in the
-   :class:`~repro.runtime.cache.ResultCache` keyed by the config content
-   and a fingerprint of the producing code.
+   :mod:`repro.runtime` pool in one
+   :func:`~repro.runtime.trials.run_trials` call. The parent builds the
+   plan above once per call and mints each chunk's specs from it as it
+   submits the chunk (``trial_source=``); the specs travel with the chunk.
+5. Each chunk folds its cells into a mergeable
+   :class:`~repro.net.aggregate.DeploymentAggregate` where it runs
+   (``reduce_fn=``), the parent merges the chunk accumulators in span
+   order, and the result is finalised into a :class:`DeploymentResult`
+   (total and useful goodput, busy airtime, deployment-wide Jain
+   fairness, roam statistics, per-cell moments and histograms), which is
+   stored in the :class:`~repro.runtime.cache.ResultCache` keyed by the
+   config content and a fingerprint of the producing code.
 
-**Sharded mode** (``shards=k``) is the constant-memory variant of steps
-4–5 for large deployments: the parent never materialises the spec list —
-workers regenerate their own shard of specs per chunk from the config
-(``trial_source=``, with the expensive decomposition memoized per worker
-process) — and never collects per-cell results: each worker folds its
-chunk into a :class:`~repro.net.aggregate.DeploymentAggregate` before
-IPC (``reduce_fn=``), so only small accumulators cross the pipe. Because
-the aggregate is exactly associative, a sharded run is bit-identical to
-the unsharded path in every deployment-level number; what it gives up is
-the per-cell breakdown (``result.cells`` is empty).
+Unsharded runs use a *collecting* aggregate that also carries each
+cell's wire dict, which gives the per-cell breakdown (``result.cells``).
+**Sharded mode** (``shards=k``) is the constant-memory variant for large
+deployments: chunks of ~``n_aps / k`` cells, and an aggregate that drops
+the cells, so only small accumulators cross the pipe and
+``result.cells`` is empty. Because the aggregate is exactly associative,
+every deployment-level number is bit-identical between the two modes.
 
 Determinism: a cell's result is a pure function of its spec, and every
 spec derives its seed from the deployment seed and the AP index — so the
@@ -54,7 +54,7 @@ from repro.mac.protocols.base import AggregationLimits
 from repro.mac.protocols.carpool_mixed import CarpoolMixedProtocol
 from repro.mac.scenarios import CbrScenario
 from repro.faults.plan import FaultPlan
-from repro.net.aggregate import DeploymentAggregate, aggregate_factory, reduce_cell
+from repro.net.aggregate import aggregate_factory, reduce_cell
 from repro.net.interference import (
     background_duty,
     coupling_fault_plans,
@@ -66,7 +66,7 @@ from repro.obs.log import get_logger
 from repro.obs.manifest import manifest_scope
 from repro.obs.trace import active_recorder, metrics
 from repro.runtime.cache import ResultCache, code_fingerprint, content_key
-from repro.runtime.trials import run_trials, shared_payload
+from repro.runtime.trials import run_trials
 from repro.traffic.background import background_uplink_arrivals
 from repro.traffic.flows import cbr_downlink_arrivals, merge_arrivals
 from repro.util.rng import RngStream, derive_seed
@@ -233,7 +233,7 @@ class DeploymentResult:
     Every deployment-level number is finalised from the exactly-
     associative :class:`~repro.net.aggregate.DeploymentAggregate`, so it
     is identical whether the run was sharded or not. ``cells`` holds the
-    per-cell breakdown in the unsharded path and is empty for sharded
+    per-cell breakdown in unsharded runs and is empty for sharded
     runs (the constant-memory trade: shard mode never materialises
     per-cell results anywhere).
     """
@@ -408,14 +408,13 @@ def run_cell(spec: CellSpec) -> CellResult:
     return result
 
 
-def _cell_trial(trial_index: int, rng) -> dict:
-    """run_trials adapter: cell ``trial_index`` of the shared spec list.
+def _cell_trial(trial_index: int, rng, spec: CellSpec) -> dict:
+    """run_trials adapter: run the cell ``spec`` the parent shipped.
 
     The handed RNG is deliberately unused — every cell is seeded by its
     spec, so results cannot depend on worker count or chunking.
     """
-    specs = shared_payload()
-    return run_cell(specs[trial_index]).to_dict()
+    return run_cell(spec).to_dict()
 
 
 # --------------------------------------------------------------------------- #
@@ -492,8 +491,8 @@ class _DeploymentPlan:
     """The expensive, cell-independent decomposition of a config.
 
     Everything :func:`_make_cell_spec` needs to mint any single cell's
-    spec: built once per process (parent, or each worker in sharded mode)
-    and reused for every cell of the deployment.
+    spec: built once per deployment, in the parent, and reused for every
+    cell.
     """
 
     timeline: object
@@ -615,6 +614,14 @@ def _make_cell_spec(config: DeploymentConfig, plan: _DeploymentPlan,
     )
 
 
+def _spec_source(config: DeploymentConfig, plan: _DeploymentPlan):
+    """``run_trials`` trial_source: mint cells ``start..stop`` of the plan."""
+    def specs(start: int, stop: int) -> list:
+        return [_make_cell_spec(config, plan, plan.ap_order[i])
+                for i in range(start, stop)]
+    return specs
+
+
 def build_cell_specs(config: DeploymentConfig) -> tuple:
     """(specs, timeline, fault_plans) for a deployment config.
 
@@ -622,67 +629,17 @@ def build_cell_specs(config: DeploymentConfig) -> tuple:
     running the cells.
     """
     plan = _deployment_plan(config)
-    specs = [_make_cell_spec(config, plan, i) for i in plan.ap_order]
+    specs = _spec_source(config, plan)(0, len(plan.ap_order))
     return specs, plan.timeline, plan.plans
 
 
-# Worker-side plan memo for sharded runs: a worker serving several chunks
-# of the same deployment rebuilds the decomposition once, not per chunk.
-# Single entry (keyed by the frozen config) so a worker recycled across
-# different deployments cannot accumulate plans — that would breach the
-# constant-memory contract shards exist for.
-_PLAN_MEMO: dict = {}
-
-
-def _plan_for(config: DeploymentConfig) -> _DeploymentPlan:
-    plan = _PLAN_MEMO.get(config)
-    if plan is None:
-        _PLAN_MEMO.clear()
-        plan = _deployment_plan(config)
-        _PLAN_MEMO[config] = plan
-    return plan
-
-
-class _SpecSource:
-    """``run_trials`` trial_source: lazily mint one shard of cell specs.
-
-    Pickles as just the config — workers regenerate their own shard of
-    specs from the memoized plan, so the parent never materialises (or
-    ships) the full spec list.
-    """
-
-    __slots__ = ("config",)
-
-    def __init__(self, config: DeploymentConfig):
-        self.config = config
-
-    def __call__(self, start: int, stop: int) -> list:
-        plan = _plan_for(self.config)
-        return [
-            _make_cell_spec(self.config, plan, plan.ap_order[i])
-            for i in range(start, stop)
-        ]
-
-    def __reduce__(self):
-        return (_SpecSource, (self.config,))
-
-
-def _cell_trial_sharded(trial_index: int, rng, spec: CellSpec) -> dict:
-    """Sharded run_trials adapter: the spec arrives from the trial source.
-
-    The handed RNG is deliberately unused, exactly as in :func:`_cell_trial`.
-    """
-    return run_cell(spec).to_dict()
-
-
-def _finalize(config: DeploymentConfig, agg: DeploymentAggregate, timeline,
-              plans: dict, cells: list) -> DeploymentResult:
+def _finalize(config: DeploymentConfig, agg, timeline, plans: dict,
+              cells: list) -> DeploymentResult:
     """One :class:`DeploymentResult` from the folded aggregate.
 
-    Both execution paths end here with an identical aggregate (the
-    primitives are exactly associative), so every deployment-level field
-    is bit-identical whether cells were folded in the parent or reduced
-    shard-by-shard inside workers.
+    The aggregate's primitives are exactly associative, so every
+    deployment-level field is bit-identical however the cells were
+    grouped into chunks, sharded or not.
     """
     return DeploymentResult(
         config=config.to_payload(),
@@ -735,19 +692,19 @@ def simulate_deployment(
     so this usually lands at a few cells per chunk). Chunking never
     affects results.
 
-    ``shards=k`` selects the streaming path: cells are generated and
-    reduced in ~``n_aps / k`` sized shards, workers fold their shard into
-    a :class:`~repro.net.aggregate.DeploymentAggregate` before IPC, and
-    the parent merges accumulators instead of collecting per-cell
-    results. Deployment-level numbers are bit-identical to the unsharded
-    path at any ``shards``/worker combination; ``result.cells`` is empty
-    (the memory being saved is exactly that list).
+    ``shards=k`` runs ~``n_aps / k`` cells per chunk and drops the
+    per-cell breakdown: chunks fold their cells into a
+    :class:`~repro.net.aggregate.DeploymentAggregate` that keeps only
+    deployment-level state, and ``result.cells`` is empty (the memory
+    being saved is exactly that list). Deployment-level numbers are
+    bit-identical to the unsharded run at any ``shards``/worker
+    combination.
 
     Results are cached under the ``deployment`` namespace, keyed by the
     full config payload and a fingerprint of every package that shapes
     the outcome — editing the MAC, traffic, fault, or net code invalidates
     stale entries automatically. Sharded results cache under a distinct
-    key: the two paths return differently-shaped results (with and
+    key: the two modes return differently-shaped results (with and
     without ``cells``), so neither may satisfy the other's lookup.
     ``use_cache=False`` forces a recompute (the fresh result is still
     stored).
@@ -791,46 +748,25 @@ def simulate_deployment(
              f" ({shards} shards)" if streaming else "")
     with manifest_scope(manifest_path, kind="deployment", seed=config.seed,
                         config=config.to_payload()):
-        seed = derive_seed(config.seed, "net-cells")
+        with metrics().timer("net.build_specs").time():
+            plan = _deployment_plan(config)
+        _emit_handoffs(config, plan.timeline)
         if streaming:
-            with metrics().timer("net.build_specs").time():
-                # The parent needs the plan too — for timeline statistics
-                # and handoff events — but never the spec list. Going
-                # through the memo lets an in-process trial source reuse it.
-                plan = _plan_for(config)
-            _emit_handoffs(config, plan.timeline)
-            with metrics().timer("net.run_cells").time():
-                agg = run_trials(
-                    _cell_trial_sharded, config.n_aps,
-                    seed=seed,
-                    n_workers=n_workers,
-                    chunk_size=max(1, math.ceil(config.n_aps / shards)),
-                    trial_source=_SpecSource(config),
-                    reduce_fn=reduce_cell,
-                    reduce_init=aggregate_factory(config.mobility),
-                )
-            with metrics().timer("net.aggregate").time():
-                result = _finalize(config, agg, plan.timeline, plan.plans, [])
-        else:
-            with metrics().timer("net.build_specs").time():
-                specs, timeline, plans = build_cell_specs(config)
-            _emit_handoffs(config, timeline)
-            with metrics().timer("net.run_cells").time():
-                raw = run_trials(
-                    _cell_trial, len(specs),
-                    seed=seed,
-                    n_workers=n_workers,
-                    chunk_size=chunk_size,
-                    shared=specs,
-                )
-            with metrics().timer("net.aggregate").time():
-                # Fold the same wire dicts the sharded path reduces —
-                # identity between the paths holds by construction.
-                agg = DeploymentAggregate(track_stations=config.mobility)
-                for r in raw:
-                    agg.observe_cell(r)
-                cells = [CellResult.from_dict(r) for r in raw]
-                result = _finalize(config, agg, timeline, plans, cells)
+            chunk_size = max(1, math.ceil(config.n_aps / shards))
+        with metrics().timer("net.run_cells").time():
+            agg = run_trials(
+                _cell_trial, len(plan.ap_order),
+                seed=derive_seed(config.seed, "net-cells"),
+                n_workers=n_workers,
+                chunk_size=chunk_size,
+                trial_source=_spec_source(config, plan),
+                reduce_fn=reduce_cell,
+                reduce_init=aggregate_factory(config.mobility,
+                                              collect_cells=not streaming),
+            )
+        with metrics().timer("net.aggregate").time():
+            cells = [CellResult.from_dict(c) for c in agg.cells or ()]
+            result = _finalize(config, agg, plan.timeline, plan.plans, cells)
         if not return_aggregate:
             cache.put(key, result.to_dict())
     if return_aggregate:

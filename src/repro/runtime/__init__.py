@@ -1,8 +1,8 @@
 """Shared parallel-execution runtime for Monte-Carlo experiments.
 
 ``repro.runtime.trials`` provides the seeded, chunked trial runner every
-BER sweep and deployment goes through — with
-persistent worker pools, initializer-shipped shared payloads, and
+BER sweep and deployment goes through — with one persistent worker pool
+per worker count, per-chunk work items built in the parent, and
 probe-based chunk autotuning. ``repro.runtime.cache`` is the keyed,
 process-safe result cache expensive sweep inputs (PHY calibration) go
 through, and ``repro.runtime.reduction`` holds the exactly-associative
@@ -15,7 +15,6 @@ from repro.runtime.cache import (
     code_fingerprint,
     content_key,
     default_cache_dir,
-    stable_digest,
 )
 from repro.runtime.reduction import (
     ExactSum,
@@ -27,7 +26,6 @@ from repro.runtime.trials import (
     persistent_pool,
     resolve_workers,
     run_trials,
-    shared_payload,
     shutdown_pools,
     trial_rngs,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "persistent_pool",
     "resolve_workers",
     "run_trials",
-    "shared_payload",
     "shutdown_pools",
-    "stable_digest",
     "trial_rngs",
 ]

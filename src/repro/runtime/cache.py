@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from functools import lru_cache
 from types import ModuleType
@@ -45,7 +44,6 @@ __all__ = [
     "code_fingerprint",
     "content_key",
     "default_cache_dir",
-    "stable_digest",
 ]
 
 _ENV_DISABLE = "REPRO_NO_CACHE"
@@ -113,24 +111,6 @@ def code_fingerprint(*modules) -> str:
         sorted(m.__name__ if isinstance(m, ModuleType) else str(m) for m in modules)
     )
     return _fingerprint_cached(names)
-
-
-def stable_digest(obj, length: int = 16) -> str:
-    """Content digest of an arbitrary picklable object.
-
-    Two objects that pickle to the same bytes get the same digest — numpy
-    arrays hash by dtype/shape/contents, dicts by insertion order. This is
-    what the persistent worker-pool registry keys shared payloads by
-    (``repro.runtime.trials``): an equal re-created payload maps to the
-    same warm pool, while distinct payloads can never alias one. Objects
-    that refuse to pickle fall back to an identity digest (they could not
-    reach a worker anyway).
-    """
-    try:
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return f"id{id(obj):x}"
-    return hashlib.sha256(blob).hexdigest()[:length]
 
 
 def content_key(namespace: str, payload: dict, fingerprint: str = "") -> str:

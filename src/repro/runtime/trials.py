@@ -12,16 +12,11 @@ shared runtime those sweeps go through:
   ``ProcessPoolExecutor``; the worker count auto-detects from
   ``REPRO_WORKERS`` or ``os.cpu_count()``. ``n_workers=1`` (or a single
   trial) short-circuits to a plain loop with zero pool overhead.
-* **Pool persistence** — worker pools are kept alive and reused across
-  :func:`run_trials` calls, keyed by worker count and a *content
-  fingerprint* of the shared payload
-  (:func:`repro.runtime.cache.stable_digest`): an equal re-created
-  payload maps back onto the warm pool, distinct payloads can never
-  alias one. :func:`shutdown_pools` tears everything down.
-* **Shared tables** — pass ``shared=...`` to ship one payload to every
-  worker through the pool initializer (forked workers inherit it without
-  a pickle). Trial functions read the payload back with
-  :func:`shared_payload` on every path, serial included.
+* **Pool persistence** — one worker pool per worker count is kept alive
+  and reused across :func:`run_trials` calls, so a sweep of many runs
+  pays process start-up once. Workers carry no per-run state: everything
+  a chunk needs travels with the chunk. :func:`shutdown_pools` tears
+  everything down.
 * **Batched chunks** — pass ``batch_fn=...`` to run a whole chunk of
   trials as *one* vectorised call instead of N scalar calls. The batch
   function receives the same per-trial ``SeedSequence`` children the
@@ -29,18 +24,18 @@ shared runtime those sweeps go through:
   traced runs always take the scalar path so correlation ids attach to
   single trials.
 * **Worker-side reduction** — pass ``reduce_fn=`` / ``reduce_init=`` and
-  each worker folds its chunk's per-trial results into one small
-  mergeable accumulator *before* IPC: only accumulators cross the pipe,
-  and the parent merges them in span order. The scalar per-trial path
-  stays the oracle — traced runs bypass worker reduction (the parent
-  folds instead) so traces stay byte-identical — which is only sound
-  when the accumulator is exactly associative; see
-  :mod:`repro.runtime.reduction` for primitives that are.
-* **Lazy trial specs** — pass ``trial_source=`` (a picklable
-  ``(start, stop) -> sequence``) and each chunk *generates* its own
-  shard of work items inside the worker instead of the parent
-  materialising (and shipping) the whole list up front; the trial
-  function then receives the item as ``fn(index, rng, item, *args)``.
+  each chunk folds its per-trial results into one small mergeable
+  accumulator where it runs, traced or not: only accumulators cross the
+  pipe, and the parent merges them in span order. Chunking then changes
+  the grouping of the folds, which is only sound when the accumulator is
+  exactly associative; see :mod:`repro.runtime.reduction` for primitives
+  that are. The fold emits no trace events, so traces do not change.
+* **Per-chunk work items** — pass ``trial_source=`` (a
+  ``(start, stop) -> sequence``) and the parent builds each chunk's work
+  items when it submits (or runs) that chunk; the items travel with the
+  chunk and the trial function receives one as
+  ``fn(index, rng, item, *args)``. Workers never call the source, so it
+  may be any callable, closures included.
 * **IPC accounting** — when metrics are being collected, the parent
   counts the pickled size of every chunk result it receives under
   ``runtime.ipc_result_bytes``, which is how reduction is shown to shrink
@@ -50,8 +45,8 @@ shared runtime those sweeps go through:
   serial probe of the trial cost, and picks the smallest chunk that
   keeps IPC overhead to a few percent of useful work.
 
-The trial function and its extra arguments must be picklable (a module-level
-function, not a lambda or closure).
+The trial function, its extra arguments and the work items must be
+picklable (a module-level function, not a lambda or closure).
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +73,6 @@ from ..obs.trace import (
     trial_correlation_id,
     worker_spec,
 )
-from .cache import stable_digest
 
 log = get_logger(__name__)
 
@@ -89,7 +82,6 @@ __all__ = [
     "run_trials",
     "autotune_chunk_size",
     "persistent_pool",
-    "shared_payload",
     "shutdown_pools",
 ]
 
@@ -135,7 +127,7 @@ def _chunk_spans(n: int, chunk_size: int) -> list:
 
 
 # --------------------------------------------------------------------------- #
-# Persistent pools and shared read-only payloads.
+# Persistent pools.
 # --------------------------------------------------------------------------- #
 
 
@@ -147,99 +139,24 @@ class _PoolEntry:
     ipc_seconds: float | None = None
 
 
-# Pool registry: (max_workers, payload_fingerprint | None) -> _PoolEntry.
-# A worker's payload is fixed at initializer time, so the registry keys by
-# *content*: an equal re-created payload (same fingerprint) reuses the warm
-# pool, a different payload at the same worker count retires the old pool
-# rather than leaking it (sweeps call run_trials(shared=...) with a fresh
-# payload per invocation), and two distinct payloads can never alias.
+# Pool registry: worker count -> _PoolEntry.
 _POOLS: dict = {}
 
-# The worker-side (and serial-path) shared payload, set per worker by the
-# pool initializer instead of being pickled into every chunk.
-_SHARED = None
 
+def persistent_pool(n_workers: int) -> ProcessPoolExecutor:
+    """The long-lived pool for ``n_workers``, created on first use.
 
-def _init_worker(shared) -> None:
-    """Pool initializer: stash the shared read-only payload in the worker."""
-    global _SHARED
-    _SHARED = shared
-
-
-def shared_payload():
-    """The payload this worker was initialised with (``None`` if absent).
-
-    Trial functions call this instead of taking big read-only tables
-    through ``args`` — the payload crosses the process boundary once per
-    worker (at pool start-up) rather than once per chunk.
+    Repeated calls return the same executor, so process start-up is paid
+    once per worker count instead of once per ``run_trials`` call.
     """
-    return _SHARED
-
-
-@contextmanager
-def _payload_installed(shared):
-    """Expose ``shared`` via :func:`shared_payload` for the duration.
-
-    Serial runs (and the in-parent autotune probe) read the payload
-    through the same accessor the workers use. The previous payload is
-    restored on exit so a nested ``run_trials(shared=...)`` executing
-    *inside* a worker — e.g. a calibration inside a deployment cell —
-    cannot clobber the worker's own initializer payload.
-    """
-    global _SHARED
-    if shared is None:
-        yield
-        return
-    previous = _SHARED
-    _SHARED = shared
-    try:
-        yield
-    finally:
-        _SHARED = previous
-
-
-def persistent_pool(n_workers: int, shared=None) -> ProcessPoolExecutor:
-    """A long-lived pool for ``n_workers``, created on first use.
-
-    Pools are keyed by worker count and the *content fingerprint* of the
-    shared payload; repeated calls — including with an equal, re-created
-    payload — return the same executor, so process start-up is paid once
-    per configuration instead of once per ``run_trials`` call.
-    """
-    global _SHARED
-    fingerprint = stable_digest(shared) if shared is not None else None
-    key = (n_workers, fingerprint)
-    entry = _POOLS.get(key)
+    entry = _POOLS.get(n_workers)
     if entry is not None:
-        if shared is not None:
-            # Equal content, possibly a different object: point the
-            # parent-side accessor at the caller's copy.
-            _SHARED = shared
         metrics().counter("runtime.pool_reused").inc()
         return entry.pool
-    if shared is not None:
-        # A *different* payload at this worker count: the old pool's
-        # workers were initialised with the previous tables, so retire it
-        # instead of accumulating one pool per historical payload.
-        for stale in [k for k in _POOLS if k[0] == n_workers and k[1] is not None]:
-            _retire_entry(stale)
-    if shared is None:
-        pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=_mp_context())
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=n_workers,
-            mp_context=_mp_context(),
-            initializer=_init_worker,
-            initargs=(shared,),
-        )
-        # With fork, workers inherit parent globals at spawn time; setting
-        # the parent-side payload too keeps shared_payload() consistent
-        # everywhere (and serves the n_workers=1 serial path).
-        _SHARED = shared
-    _POOLS[key] = _PoolEntry(pool=pool)
+    pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=_mp_context())
+    _POOLS[n_workers] = _PoolEntry(pool=pool)
     metrics().counter("runtime.pool_spawned").inc()
-    log.debug("spawned persistent pool: %d workers, shared=%s",
-              n_workers, shared is not None)
+    log.debug("spawned persistent pool: %d workers", n_workers)
     return pool
 
 
@@ -274,11 +191,8 @@ def _discard_pool(pool: ProcessPoolExecutor) -> None:
 
 def shutdown_pools() -> None:
     """Shut down every persistent pool (registered atexit)."""
-    global _SHARED
     for key in list(_POOLS):
         _retire_entry(key)
-    _POOLS.clear()
-    _SHARED = None
 
 
 atexit.register(shutdown_pools)
@@ -371,12 +285,11 @@ def autotune_chunk_size(
     return int(min(size, upper))
 
 
-def _measured_ipc(n_workers: int, shared) -> float | None:
-    """IPC cost of the persistent pool serving ``(n_workers, shared)``."""
-    fingerprint = stable_digest(shared) if shared is not None else None
-    pool = persistent_pool(n_workers, shared=shared)
+def _measured_ipc(n_workers: int) -> float | None:
+    """IPC cost of the persistent pool for ``n_workers``."""
+    pool = persistent_pool(n_workers)
     try:
-        return _pool_ipc_seconds(pool, _POOLS.get((n_workers, fingerprint)))
+        return _pool_ipc_seconds(pool, _POOLS.get(n_workers))
     except BrokenProcessPool:
         _discard_pool(pool)
         return None
@@ -387,20 +300,10 @@ def _measured_ipc(n_workers: int, shared) -> float | None:
 # --------------------------------------------------------------------------- #
 
 
-class _Reduced:
-    """Marks a chunk result as an accumulator rather than per-trial list."""
-
-    __slots__ = ("acc",)
-
-    def __init__(self, acc):
-        self.acc = acc
-
-    def __reduce__(self):
-        return (_Reduced, (self.acc,))
-
-
 def _chunk_items(trial_source, start, stop):
-    """Materialise one chunk's work items from a lazy trial source."""
+    """One chunk's work items from the trial source (``None`` without one)."""
+    if trial_source is None:
+        return None
     items = list(trial_source(start, stop))
     if len(items) != stop - start:
         raise RuntimeError(
@@ -411,7 +314,7 @@ def _chunk_items(trial_source, start, stop):
 
 
 def _run_trial_chunk(fn, seed, n_trials, start, stop, args, obs_spec=None,
-                     batch_fn=None, trial_source=None, reduce_fn=None,
+                     batch_fn=None, items=None, reduce_fn=None,
                      reduce_init=None):
     """Run trials ``start..stop`` of ``n_trials`` (executes inside a worker).
 
@@ -423,9 +326,9 @@ def _run_trial_chunk(fn, seed, n_trials, start, stop, args, obs_spec=None,
     parent has observability on) makes the worker capture its own events
     and metrics under a fresh local capture state and return an
     ``ObsChunk`` for the parent to fold back in span order. With it
-    ``None`` — every uninstrumented run — the plain results list comes
-    back untouched. Serial in-process calls leave it ``None`` too: there
-    the parent's own ambient recorder is already active.
+    ``None`` — every uninstrumented run — the plain result comes back
+    untouched. Serial in-process calls leave it ``None`` too: there the
+    parent's own ambient recorder is already active.
 
     ``batch_fn`` routes the whole chunk through one vectorised call. A
     *traced* chunk always takes the scalar loop instead: correlation ids
@@ -433,64 +336,45 @@ def _run_trial_chunk(fn, seed, n_trials, start, stop, args, obs_spec=None,
     and since ``batch_fn`` is bit-identical by contract, tracing only
     changes wall time, never results.
 
-    ``trial_source`` generates this chunk's work items in-process; the
-    trial function then runs as ``fn(index, rng, item, *args)``.
+    ``items`` are this chunk's work items, built by the parent; the trial
+    function then runs as ``fn(index, rng, item, *args)``.
 
     ``reduce_fn`` / ``reduce_init`` fold the chunk's results into one
-    accumulator, returned wrapped in :class:`_Reduced` so the parent can
-    tell it from a per-trial list. A *traced* chunk skips the fold and
-    returns per-trial results — the parent folds them instead, which is
-    result-identical exactly because the accumulators are associative —
-    so the trace carries the same per-trial events at any worker count.
+    accumulator, which is returned instead of the per-trial list.
     """
     children = _trial_seeds(seed, n_trials)[start:stop]
-    items = (None if trial_source is None
-             else _chunk_items(trial_source, start, stop))
-
-    def one(index, ss):
-        rng = np.random.default_rng(ss)
-        if items is not None:
-            return fn(index, rng, items[index - start], *args)
-        return fn(index, rng, *args)
-
-    def payload():
+    with chunk_capture(obs_spec) as wrap:
         rec = active_recorder()
-        if rec is None:
-            if batch_fn is not None:
-                rngs = [np.random.default_rng(ss) for ss in children]
-                if items is not None:
-                    results = list(batch_fn(start, rngs, items, *args))
-                else:
-                    results = list(batch_fn(start, rngs, *args))
-                if len(results) != stop - start:
-                    raise RuntimeError(
-                        f"batch_fn returned {len(results)} results for "
-                        f"{stop - start} trials"
-                    )
-                if reduce_fn is not None:
-                    acc = reduce_init()
-                    for index, result in zip(range(start, stop), results):
-                        acc = reduce_fn(acc, index, result)
-                    return _Reduced(acc)
-                return results
-            if reduce_fn is not None:
-                acc = reduce_init()
-                for index, ss in zip(range(start, stop), children):
-                    acc = reduce_fn(acc, index, one(index, ss))
-                return _Reduced(acc)
-            return [one(index, ss)
-                    for index, ss in zip(range(start, stop), children)]
-        results = []
-        for index, ss in zip(range(start, stop), children):
+
+        def one(index, ss):
+            rng = np.random.default_rng(ss)
+            item = () if items is None else (items[index - start],)
+            if rec is None:
+                return fn(index, rng, *item, *args)
             # Correlation ids derive from the run seed and the trial's
             # SeedSequence spawn position, never id()/clock, so serial
             # and parallel traces carry identical ids.
             with rec.correlate(trial_correlation_id(seed, index)):
-                results.append(one(index, ss))
-        return results
+                return fn(index, rng, *item, *args)
 
-    with chunk_capture(obs_spec) as wrap:
-        return wrap(payload())
+        if rec is None and batch_fn is not None:
+            rngs = [np.random.default_rng(ss) for ss in children]
+            lead = () if items is None else (items,)
+            results = list(batch_fn(start, rngs, *lead, *args))
+            if len(results) != stop - start:
+                raise RuntimeError(
+                    f"batch_fn returned {len(results)} results for "
+                    f"{stop - start} trials"
+                )
+        else:
+            results = (one(index, ss)
+                       for index, ss in zip(range(start, stop), children))
+        if reduce_fn is None:
+            return wrap(list(results))
+        acc = reduce_init()
+        for index, result in zip(range(start, stop), results):
+            acc = reduce_fn(acc, index, result)
+        return wrap(acc)
 
 
 def _count_ipc_result(raw) -> None:
@@ -510,47 +394,30 @@ def _count_ipc_result(raw) -> None:
         metrics().counter("runtime.ipc_result_bytes").inc(size)
 
 
-def _fold_chunk(acc, chunk, span, reduce_fn, reduce_init):
-    """Fold one ingested chunk result into the running accumulator.
-
-    ``chunk`` is either a :class:`_Reduced` accumulator (worker already
-    folded) or a per-trial list (traced runs bypass worker reduction);
-    either way the outcome is identical for associative accumulators.
-    """
-    if isinstance(chunk, _Reduced):
-        if acc is None:
-            return chunk.acc
-        merged = acc.merge(chunk.acc)
-        return acc if merged is None else merged
-    if acc is None:
-        acc = reduce_init()
-    start, _stop = span
-    for offset, result in enumerate(chunk):
-        acc = reduce_fn(acc, start + offset, result)
-    return acc
+def _received(future):
+    """One pool chunk's result, charged to IPC and folded into obs."""
+    raw = future.result()
+    _count_ipc_result(raw)
+    return ingest_chunk(raw)
 
 
-def _consume_futures(futures, spans, reduce_fn, reduce_init):
-    """Consume chunk futures in span order; list out, or merged accumulator.
+def _combine(chunks, reducing: bool):
+    """Per-trial results, or the merged accumulator, in span order.
 
     Span order matters twice: worker-captured obs events fold back into
     the parent trace in trial order, and — although associative
     accumulators make any merge order *result*-identical — a fixed order
     keeps the engine deterministic by construction rather than by proof.
     """
-    if reduce_fn is None:
-        results: list = []
-        for future in futures:
-            raw = future.result()
-            _count_ipc_result(raw)
-            results.extend(ingest_chunk(raw))
-        return results
+    if not reducing:
+        return [result for chunk in chunks for result in chunk]
     acc = None
-    for span, future in zip(spans, futures):
-        raw = future.result()
-        _count_ipc_result(raw)
-        acc = _fold_chunk(acc, ingest_chunk(raw), span, reduce_fn,
-                          reduce_init)
+    for chunk in chunks:
+        if acc is None:
+            acc = chunk
+        else:
+            merged = acc.merge(chunk)
+            acc = acc if merged is None else merged
     return acc
 
 
@@ -562,7 +429,6 @@ def run_trials(
     n_workers: int | None = None,
     chunk_size: int | str | None = None,
     args: tuple = (),
-    shared=None,
     batch_fn=None,
     reduce_fn=None,
     reduce_init=None,
@@ -581,10 +447,8 @@ def run_trials(
             ``"auto"`` to size chunks from the measured per-submission IPC
             cost of the live pool plus a quick serial timing probe
             (:func:`autotune_chunk_size`).
-        args: Extra (picklable) positional arguments passed to every trial.
-        shared: Optional read-only payload shipped to each worker once,
-            through the pool initializer. Trial functions retrieve it with
-            :func:`shared_payload`. Serial runs see it too.
+        args: Extra (picklable) positional arguments passed to every
+            trial; they are pickled into every chunk.
         batch_fn: Optional vectorised executor
             ``(start_index, rngs, *args) -> sequence of per-trial
             results``. Untraced chunks call it once per chunk with the
@@ -593,20 +457,21 @@ def run_trials(
             runs always use ``fn``, so any divergence shows up as a trace
             vs. plain mismatch).
         reduce_fn: Optional fold ``(acc, trial_index, result) -> acc``.
-            Untraced workers fold their own chunk before IPC and ship one
-            accumulator; the parent merges chunk accumulators in span
-            order with ``acc_a.merge(acc_b)`` and :func:`run_trials`
-            returns the merged accumulator instead of a results list. Traced runs ship per-trial results
-            as usual and the parent folds — identical by construction
-            when the accumulator is *exactly associative*
+            Every chunk, traced or not, folds its own results where it
+            runs and yields one accumulator; the parent merges chunk
+            accumulators in span order with ``acc_a.merge(acc_b)`` and
+            :func:`run_trials` returns the merged accumulator instead of a
+            results list. Results are independent of chunking only when
+            the accumulator is *exactly associative*
             (:mod:`repro.runtime.reduction`).
         reduce_init: Picklable zero-argument factory for a fresh
             accumulator (required with ``reduce_fn``).
-        trial_source: Optional picklable ``(start, stop) -> sequence`` of
-            per-trial work items, generated *inside* the worker per chunk
-            instead of materialised and shipped whole by the parent. With
-            it, the trial function runs as ``fn(index, rng, item, *args)``
-            (and ``batch_fn`` as ``batch_fn(start, rngs, items, *args)``).
+        trial_source: Optional ``(start, stop) -> sequence`` of per-trial
+            work items. The parent calls it once per chunk, when it
+            submits or runs that chunk, and the items travel with the
+            chunk; the source itself never leaves the parent. With it, the
+            trial function runs as ``fn(index, rng, item, *args)`` (and
+            ``batch_fn`` as ``batch_fn(start, rngs, items, *args)``).
 
     Returns:
         ``[fn(0, rng0, *args), ..., fn(n_trials-1, ...)]`` — identical for
@@ -625,52 +490,48 @@ def run_trials(
             return reduce_init() if reducing else []
         n_workers = resolve_workers(n_workers)
 
-        with _payload_installed(shared):
-            if chunk_size == "auto":
-                ipc = None
-                if n_workers > 1 and n_trials > 1:
-                    ipc = _measured_ipc(n_workers, shared)
-                chunk_size = autotune_chunk_size(
-                    fn, n_trials, seed=seed, n_workers=n_workers, args=args,
-                    ipc_seconds=ipc, trial_source=trial_source,
-                )
-            elif chunk_size is not None:
-                chunk_size = max(1, int(chunk_size))
+        if chunk_size == "auto":
+            ipc = None
+            if n_workers > 1 and n_trials > 1:
+                ipc = _measured_ipc(n_workers)
+            chunk_size = autotune_chunk_size(
+                fn, n_trials, seed=seed, n_workers=n_workers, args=args,
+                ipc_seconds=ipc, trial_source=trial_source,
+            )
+        elif chunk_size is not None:
+            chunk_size = max(1, int(chunk_size))
 
-            if chunk_size is None:
-                chunk_size = max(1, -(-n_trials // (4 * n_workers)))
+        if chunk_size is None:
+            chunk_size = max(1, -(-n_trials // (4 * n_workers)))
 
-            if n_workers == 1 or n_trials == 1:
-                if reducing:
-                    # Chunk-at-a-time even in-process: with a lazy
-                    # trial_source only one chunk's items are ever alive,
-                    # which is the constant-memory contract sharded callers
-                    # rely on.
-                    acc = None
-                    for span in _chunk_spans(n_trials, chunk_size):
-                        chunk = _run_trial_chunk(
-                            fn, seed, n_trials, span[0], span[1], args, None,
-                            batch_fn, trial_source, reduce_fn, reduce_init,
-                        )
-                        acc = _fold_chunk(acc, chunk, span, reduce_fn,
-                                          reduce_init)
-                    return acc
-                return _run_trial_chunk(fn, seed, n_trials, 0, n_trials,
-                                        args, None, batch_fn, trial_source)
-            spans = _chunk_spans(n_trials, chunk_size)
-            spec = worker_spec()
-            pool = persistent_pool(min(n_workers, len(spans)), shared=shared)
-            try:
-                futures = [
-                    pool.submit(_run_trial_chunk, fn, seed, n_trials,
-                                start, stop, args, spec, batch_fn,
-                                trial_source, reduce_fn, reduce_init)
-                    for start, stop in spans
-                ]
-                return _consume_futures(futures, spans, reduce_fn,
-                                        reduce_init)
-            except BrokenProcessPool:
-                # A dead worker poisons the pool for every later call:
-                # evict it so the next run starts fresh, then re-raise.
-                _discard_pool(pool)
-                raise
+        if n_workers == 1 or n_trials == 1:
+            # Reducing runs go chunk at a time even in-process: only one
+            # chunk's items and results are ever alive, which is the
+            # constant-memory contract sharded callers rely on.
+            spans = (_chunk_spans(n_trials, chunk_size) if reducing
+                     else [(0, n_trials)])
+            return _combine((
+                _run_trial_chunk(fn, seed, n_trials, start, stop, args, None,
+                                 batch_fn,
+                                 _chunk_items(trial_source, start, stop),
+                                 reduce_fn, reduce_init)
+                for start, stop in spans
+            ), reducing)
+        spans = _chunk_spans(n_trials, chunk_size)
+        spec = worker_spec()
+        pool = persistent_pool(n_workers)
+        try:
+            futures = [
+                pool.submit(_run_trial_chunk, fn, seed, n_trials, start, stop,
+                            args, spec, batch_fn,
+                            _chunk_items(trial_source, start, stop),
+                            reduce_fn, reduce_init)
+                for start, stop in spans
+            ]
+            return _combine((_received(future) for future in futures),
+                            reducing)
+        except BrokenProcessPool:
+            # A dead worker poisons the pool for every later call:
+            # evict it so the next run starts fresh, then re-raise.
+            _discard_pool(pool)
+            raise

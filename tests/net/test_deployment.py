@@ -401,22 +401,50 @@ class TestShardedDeployment:
         assert rebuilt.to_dict() == result.to_dict()
         assert rebuilt.cells == []
 
-    def test_in_process_sharded_run_builds_the_plan_once(self, cache,
-                                                          monkeypatch):
-        from repro.net import deployment
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_plan_is_built_once_in_the_parent(self, cache, monkeypatch,
+                                              shards):
+        import os
 
+        from repro.net import deployment
+        from repro.runtime import shutdown_pools
+
+        parent = os.getpid()
         builds = []
         build = deployment._deployment_plan
 
-        def counted(config):
+        def parent_only(config):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker built the plan")
             builds.append(config)
             return build(config)
 
-        monkeypatch.setattr(deployment, "_deployment_plan", counted)
-        monkeypatch.setattr(deployment, "_PLAN_MEMO", {})
-        simulate_deployment(_fast_config(), n_workers=1, use_cache=False,
-                            cache=cache, shards=3)
-        assert len(builds) == 1
+        monkeypatch.setattr(deployment, "_deployment_plan", parent_only)
+        # Fresh workers fork after the patch, so they would run the
+        # raising wrapper if they ever built the plan. The second
+        # deployment runs on workers forked during the first, which
+        # inherited no plan of it.
+        shutdown_pools()
+        try:
+            for seed in (1, 2):
+                result = simulate_deployment(
+                    _fast_config(mobility=True, seed=seed), n_workers=2,
+                    use_cache=False, cache=cache, shards=shards)
+                assert result.n_cells == 4
+        finally:
+            shutdown_pools()
+        assert [config.seed for config in builds] == [1, 2]
+
+    def test_protocol_sweep_spawns_at_most_one_pool(self):
+        from repro.analysis.deployment_sweep import deployment_protocol_sweep
+        from repro.obs.trace import collecting
+
+        with collecting() as registry:
+            sweep = deployment_protocol_sweep(_fast_config(mobility=True),
+                                              n_workers=2, use_cache=False)
+        assert len(sweep) == 3
+        assert all(len(result.cells) == 4 for result in sweep.values())
+        assert registry.counter("runtime.pool_spawned").value <= 1
 
     def test_aggregate_fields_consistent_with_cells(self, cache):
         # The new deployment-level statistics must agree with the

@@ -265,10 +265,10 @@ class TestRunTrialsReduce:
             run_trials(_draw, 4, seed=0, n_workers=1, args=(1.0,),
                        reduce_init=ExactSum)
 
-    def test_traced_runs_bypass_worker_reduction_same_result(self):
-        # Tracing forces per-trial results over the pipe (so the trace
-        # stays byte-identical); the parent folds instead. The final
-        # accumulator must not change.
+    def test_traced_runs_fold_in_the_worker_same_result(self):
+        # A traced chunk folds its results where it runs, as an untraced
+        # one does; the fold emits no events, so only the accumulator
+        # crosses the pipe. The final accumulator must not change.
         _, expected = self._oracle()
         recorder = TraceRecorder(None, deterministic=True)
         set_recorder(recorder)

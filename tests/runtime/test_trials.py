@@ -11,7 +11,6 @@ from repro.runtime import (
     persistent_pool,
     resolve_workers,
     run_trials,
-    shared_payload,
     shutdown_pools,
     trial_rngs,
     trials,
@@ -27,13 +26,12 @@ def _worker_pid(trial_index, rng):
     return os.getpid()
 
 
-def _read_shared(trial_index, rng):
-    return shared_payload()
-
-
-def _lookup_trial(trial_index, rng, scale):
-    payload = shared_payload()
+def _lookup_trial(trial_index, rng, payload, scale):
     return float(payload["table"][trial_index]) * scale + payload["scalar"]
+
+
+def _item_trial(trial_index, rng, item):
+    return (item, os.getpid())
 
 
 def _draw_trial(trial_index, rng, scale):
@@ -121,21 +119,8 @@ class TestPersistentPools:
         assert reused == fresh
         shutdown_pools()
 
-    def test_shared_payload_reaches_workers(self):
-        shutdown_pools()
-        payload = {"table": [1, 2, 3]}
-        values = run_trials(_read_shared, 4, seed=0, n_workers=2,
-                            shared=payload)
-        assert all(v == payload for v in values)
-        shutdown_pools()
-
-    def test_shared_payload_on_serial_path(self):
-        values = run_trials(_read_shared, 3, seed=0, n_workers=1,
-                            shared={"k": 7})
-        assert values == [{"k": 7}] * 3
-
     def test_spawn_workers_match_serial(self, monkeypatch):
-        # Without fork the initializer pickles the payload, arrays included.
+        # Without fork every chunk's arguments are pickled, arrays included.
         shutdown_pools()
         monkeypatch.setattr(
             trials, "_mp_context",
@@ -143,12 +128,56 @@ class TestPersistentPools:
         payload = {"table": np.linspace(0.0, 1.0, 2048), "scalar": 7}
         try:
             parallel = run_trials(_lookup_trial, 4, seed=9, n_workers=2,
-                                  args=(1.5,), shared=payload)
+                                  args=(payload, 1.5))
         finally:
             shutdown_pools()
         serial = run_trials(_lookup_trial, 4, seed=9, n_workers=1,
-                            args=(1.5,), shared=payload)
+                            args=(payload, 1.5))
         assert parallel == serial
+
+    def test_one_pool_per_worker_count(self):
+        from repro.obs.trace import collecting
+
+        shutdown_pools()
+        try:
+            with collecting() as registry:
+                first = persistent_pool(2)
+                for seed in range(3):
+                    run_trials(_toy_trial, 6, seed=seed, n_workers=2,
+                               args=(float(seed),))
+                assert persistent_pool(2) is first
+                assert persistent_pool(3) is not first
+                # Fewer chunks than workers still reuse the worker
+                # count's pool rather than sizing a new one to the chunks.
+                run_trials(_toy_trial, 3, seed=0, n_workers=3, chunk_size=3,
+                           args=(0.0,))
+            assert registry.counter("runtime.pool_spawned").value == 2
+        finally:
+            shutdown_pools()
+
+
+class TestTrialSource:
+    def test_closure_source_works_at_two_workers(self):
+        # A closure cannot pickle; the items it builds can.
+        prefix = "cell"
+        source = lambda start, stop: [f"{prefix}{i}"  # noqa: E731
+                                      for i in range(start, stop)]
+        got = run_trials(_item_trial, 7, seed=0, n_workers=2, chunk_size=2,
+                         trial_source=source)
+        assert [item for item, _ in got] == [f"cell{i}" for i in range(7)]
+        assert {pid for _, pid in got} != {os.getpid()}
+
+    def test_source_is_called_in_the_parent(self):
+        calls = []
+
+        def source(start, stop):
+            calls.append((start, stop, os.getpid()))
+            return list(range(start, stop))
+
+        run_trials(_item_trial, 7, seed=0, n_workers=2, chunk_size=3,
+                   trial_source=source)
+        assert calls == [(0, 3, os.getpid()), (3, 6, os.getpid()),
+                         (6, 7, os.getpid())]
 
 
 class TestBatchFn:
@@ -166,38 +195,6 @@ class TestBatchFn:
         with pytest.raises(RuntimeError, match="batch"):
             run_trials(_draw_trial, 5, seed=0, n_workers=1, args=(1.0,),
                        batch_fn=lambda start, rngs, scale: [0.0])
-
-
-class TestFingerprintKeying:
-    def test_equal_recreated_payload_reuses_pool(self):
-        shutdown_pools()
-        first = set(run_trials(_worker_pid, 6, seed=0, n_workers=2,
-                               shared={"table": [1, 2, 3]}))
-        # A *new* but equal payload object must hit the same warm pool.
-        second = set(run_trials(_worker_pid, 6, seed=1, n_workers=2,
-                                shared={"table": [1, 2, 3]}))
-        assert first & second
-        shutdown_pools()
-
-    def test_different_payload_retires_old_pool(self):
-        shutdown_pools()
-        first = set(run_trials(_worker_pid, 6, seed=0, n_workers=2,
-                               shared={"table": [1, 2, 3]}))
-        second = set(run_trials(_worker_pid, 6, seed=0, n_workers=2,
-                                shared={"table": [4, 5, 6]}))
-        assert first.isdisjoint(second)
-        values = run_trials(_read_shared, 2, seed=0, n_workers=2,
-                            shared={"table": [4, 5, 6]})
-        assert values == [{"table": [4, 5, 6]}] * 2
-        shutdown_pools()
-
-    def test_payload_free_pool_is_kept_separate(self):
-        shutdown_pools()
-        plain = persistent_pool(2)
-        with_payload = persistent_pool(2, shared={"k": 1})
-        assert plain is not with_payload
-        assert persistent_pool(2) is plain
-        shutdown_pools()
 
 
 class TestAutotune:

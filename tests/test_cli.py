@@ -167,6 +167,28 @@ class TestObsFlags:
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["mac", "--duration", "0"], "must be > 0"),
+        (["faults", "--duration", "0"], "must be > 0"),
+        (["net", "--duration", "-2"], "must be > 0"),
+        (["phy", "--power", "0"], "must be > 0"),
+        (["net", "--stas-per-ap", "-1"], "must be >= 0"),
+        (["net", "--legacy-fraction", "2"], "must be in [0, 1]"),
+        (["faults", "--ack-loss", "0.1", "1.5"], "must be in [0, 1]"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_boundary_numbers_are_accepted(self):
+        args = build_parser().parse_args(
+            ["net", "--stas-per-ap", "0", "--legacy-fraction", "1"])
+        assert (args.stas_per_ap, args.legacy_fraction) == (0, 1.0)
+        args = build_parser().parse_args(["faults", "--ack-loss", "0", "1"])
+        assert args.ack_loss == [0.0, 1.0]
+
 
 class TestObsCommands:
     def test_traced_run_then_report(self, capsys, tmp_path):
