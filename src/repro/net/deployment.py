@@ -633,24 +633,26 @@ def build_cell_specs(config: DeploymentConfig) -> tuple:
     return specs, plan.timeline, plan.plans
 
 
-def _finalize(config: DeploymentConfig, agg, timeline, plans: dict,
-              cells: list) -> DeploymentResult:
+def _finalize(config: DeploymentConfig, agg,
+              plan: _DeploymentPlan) -> DeploymentResult:
     """One :class:`DeploymentResult` from the folded aggregate.
 
     The aggregate's primitives are exactly associative, so every
     deployment-level field is bit-identical however the cells were
-    grouped into chunks, sharded or not.
+    grouped into chunks, sharded or not. ``cells`` comes from a
+    collecting aggregate and is empty otherwise.
     """
     return DeploymentResult(
         config=config.to_payload(),
-        cells=cells,
+        cells=[CellResult.from_dict(cell) for cell in agg.cells or ()],
         total_goodput_bps=agg.total_goodput_bps(),
         total_useful_goodput_bps=agg.total_useful_goodput_bps(),
         busy_airtime_s=agg.busy_airtime_s(),
         jain_fairness=agg.jain_fairness(),
-        n_roams=timeline.n_roams,
-        interruption_time_s=timeline.interruption_time,
-        n_coupled_cells=sum(1 for plan in plans.values() if plan is not None),
+        n_roams=plan.timeline.n_roams,
+        interruption_time_s=plan.timeline.interruption_time,
+        n_coupled_cells=sum(1 for cell_plan in plan.plans.values()
+                            if cell_plan is not None),
         n_cells=agg.n_cells,
         mean_cell_goodput_bps=agg.cell_goodput.mean(),
         cell_goodput_stddev_bps=agg.cell_goodput.stddev(),
@@ -765,8 +767,7 @@ def simulate_deployment(
                                               collect_cells=not streaming),
             )
         with metrics().timer("net.aggregate").time():
-            cells = [CellResult.from_dict(c) for c in agg.cells or ()]
-            result = _finalize(config, agg, plan.timeline, plan.plans, cells)
+            result = _finalize(config, agg, plan)
         if not return_aggregate:
             cache.put(key, result.to_dict())
     if return_aggregate:
