@@ -6,8 +6,12 @@ change to the order or number of uniforms drawn from any stream, to a
 protocol's decisions or to a fault injector shows up as a digest change.
 The set covers every protocol in ``PROTOCOLS`` under VoIP (with uplink)
 and CBR traffic, one fault plan each for ACK loss, A-HDR corruption and
-bursty loss, and ``Carpool-fallback`` under A-HDR faults. Every CBR case
-draws more than 1024 subframe outcomes, so it crosses an error-draw block.
+bursty loss, and ``Carpool-fallback`` under A-HDR faults. Two-AP VoIP
+cases run ``WiFox`` (one AP's priority adapts while the other contends)
+and ``Carpool-fallback`` under A-HDR faults (demote and re-promote with a
+second AP polling); ``Carpool-mixed`` runs CBR with background uplink and
+half its stations legacy, and ``Carpool-fair`` runs downlink-only CBR on
+one AP.
 
 The property test checks the engine's block-buffered error draws against
 the scalar reference ``model.draw_subframe`` on an identically seeded
@@ -15,6 +19,7 @@ stream, for both built-in error models.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -26,6 +31,8 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.mac import PROTOCOLS
 from repro.mac.engine import _BlockErrorDraws
 from repro.mac.error_model import BerCurveErrorModel, FixedFerModel
+from repro.mac.fairness import FairCarpoolProtocol
+from repro.mac.protocols.carpool_mixed import CarpoolMixedProtocol
 from repro.mac.protocols.base import SubframeTx
 from repro.mac.scenarios import CbrScenario, VoipScenario
 from repro.util.rng import RngStream
@@ -43,25 +50,50 @@ def _cbr():
                        frame_bytes=1200, with_background=False)
 
 
-def _faulted(kind, probability):
+def _faulted(kind, probability, num_aps=1, duration=0.5):
     plan = FaultPlan(specs=(
         FaultSpec(kind=kind, start=0.0, stop=5.0, probability=probability),
     ))
-    return VoipScenario(num_stations=3, num_aps=1, duration=0.5, seed=7,
-                        fault_plan=plan)
+    return VoipScenario(num_stations=3, num_aps=num_aps, duration=duration,
+                        seed=7, fault_plan=plan)
+
+
+def _two_ap_voip():
+    return VoipScenario(num_stations=4, num_aps=2, duration=1.0, seed=7,
+                        include_uplink=True, error_model=_NOISY)
+
+
+def _two_ap_fallback():
+    return _faulted("ahdr_corruption", 0.5, num_aps=2, duration=1.0)
+
+
+def _cbr_with_background():
+    return CbrScenario(num_stations=6, num_aps=1, duration=2.0, seed=7,
+                       frame_bytes=1200, with_background=True)
+
+
+_MIXED = functools.partial(CarpoolMixedProtocol,
+                           carpool_stations=("sta0", "sta2", "sta4"))
 
 
 def _cases():
+    """Case name -> (scenario factory, protocol class or factory)."""
     cases = {}
     for protocol in sorted(PROTOCOLS):
-        cases[f"voip-{protocol}"] = (_voip, protocol)
-        cases[f"cbr-{protocol}"] = (_cbr, protocol)
+        cases[f"voip-{protocol}"] = (_voip, PROTOCOLS[protocol])
+        cases[f"cbr-{protocol}"] = (_cbr, PROTOCOLS[protocol])
     for kind, probability in (("ack_loss", 0.3), ("ahdr_corruption", 0.5),
                               ("mac_burst", 0.5)):
         cases[f"fault-{kind}"] = (
-            lambda kind=kind, p=probability: _faulted(kind, p), "Carpool")
+            lambda kind=kind, p=probability: _faulted(kind, p),
+            PROTOCOLS["Carpool"])
     cases["fallback-ahdr_corruption"] = (
-        lambda: _faulted("ahdr_corruption", 0.5), "Carpool-fallback")
+        lambda: _faulted("ahdr_corruption", 0.5), PROTOCOLS["Carpool-fallback"])
+    cases["voip-2ap-WiFox"] = (_two_ap_voip, PROTOCOLS["WiFox"])
+    cases["fallback-2ap-ahdr_corruption"] = (
+        _two_ap_fallback, PROTOCOLS["Carpool-fallback"])
+    cases["cbr-Carpool-mixed-half-legacy"] = (_cbr_with_background, _MIXED)
+    cases["cbr-Carpool-fair"] = (_cbr, FairCarpoolProtocol)
     return cases
 
 
@@ -76,6 +108,10 @@ PINS = {
         "4ff7988f680dbdb9d8d738c94fe136e670dc82d1ca6ca8ae085a5e1cfb257680",
     "cbr-Carpool":
         "e36282dc92576dcb9cba4043667a54b2d7a39359c38e3ad9a6f638150e5a54e4",
+    "cbr-Carpool-fair":
+        "ab539436a568ad4ceb6c678f806b7c88fc38ebbb85613d72edcc0cae7bafcacc",
+    "cbr-Carpool-mixed-half-legacy":
+        "3249fd48bc28708a41d8302b54cf944af26ff62d3252e895bdd164c1eb93043f",
     "cbr-Carpool-fallback":
         "e67188facc418513701fbb3500c79ad3318fd757696e55f8992474800b16bf01",
     "cbr-MU-Aggregation":
@@ -84,12 +120,16 @@ PINS = {
         "cae79c5d4dbb59835bc72dfdfb643173ef44cafa49f0915cee4d6ef103d0d3ce",
     "fallback-ahdr_corruption":
         "7c357bc49e2edd35a5a3022026d2b679d828b6c8cdae1ecc609e912356de4530",
+    "fallback-2ap-ahdr_corruption":
+        "2be7d2de486c04eaa2ea267f375f7221cf57350ba02aa49c7a9517c6f5b9471f",
     "fault-ack_loss":
         "10f5989a31a08d36f668ee4e9337509673b97453296aa1ab28326f1d573495bc",
     "fault-ahdr_corruption":
         "5468e6471a33ab16dd106e51a7493629ab5b2853bfb39173faad75ff688f6278",
     "fault-mac_burst":
         "a4458c47ff0c9eb6fa675bd8cc72c92dbbf25fe97c751d82bf65476813476936",
+    "voip-2ap-WiFox":
+        "a9de00827c29d120fb0403d4beed37258dea159e6af95214c1d73bf9cdddc6d2",
     "voip-802.11":
         "eb3a45af5128ac65154dd8a16724032dd20ecba313182813aeb83205ab0e3264",
     "voip-A-MPDU":
@@ -119,8 +159,14 @@ def test_pins_cover_every_case():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engine_result_matches_pin(name):
     build, protocol = CASES[name]
-    result = build().run(PROTOCOLS[protocol])
+    result = build().run(protocol)
     assert result_digest(result) == PINS[name]
+
+
+def test_two_ap_fallback_case_repromotes():
+    result = _two_ap_fallback().run(PROTOCOLS["Carpool-fallback"])
+    assert result.demotions > 0
+    assert result.repromotions > 0
 
 
 _subframe = st.builds(
