@@ -19,7 +19,6 @@ from repro.analysis.deployment_sweep import (
     DEPLOYMENT_PROTOCOLS,
     airtime_saved_s,
     deployment_protocol_sweep,
-    deployment_scaling_sweep,
     format_deployment_table,
 )
 from repro.analysis.efficiency import carpool_exchange, mac_efficiency, single_frame_exchange
@@ -53,6 +52,5 @@ __all__ = [
     "DEPLOYMENT_PROTOCOLS",
     "airtime_saved_s",
     "deployment_protocol_sweep",
-    "deployment_scaling_sweep",
     "format_deployment_table",
 ]

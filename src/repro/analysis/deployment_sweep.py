@@ -33,7 +33,6 @@ __all__ = [
     "DEPLOYMENT_PROTOCOLS",
     "deployment_protocol_sweep",
     "airtime_saved_s",
-    "deployment_scaling_sweep",
     "format_deployment_table",
 ]
 
@@ -78,32 +77,6 @@ def airtime_saved_s(results: dict, protocol: str = "Carpool",
     translated to deployment scale.
     """
     return results[baseline].busy_airtime_s - results[protocol].busy_airtime_s
-
-
-def deployment_scaling_sweep(
-    ap_counts,
-    base: DeploymentConfig | None = None,
-    protocols=DEPLOYMENT_PROTOCOLS,
-    n_workers: int | None = None,
-    use_cache: bool = True,
-    shards: int | None = None,
-) -> dict:
-    """n_aps → {protocol → DeploymentResult} over growing deployments.
-
-    Station count scales with the AP count (``stas_per_ap`` held fixed),
-    the dense-hotspot growth mode where inter-cell coupling matters most.
-    Pass ``shards=`` for large ``ap_counts`` so parent memory stays flat
-    as deployments grow.
-    """
-    base = base or DeploymentConfig()
-    return {
-        n_aps: deployment_protocol_sweep(
-            dataclasses.replace(base, n_aps=n_aps),
-            protocols=protocols, n_workers=n_workers, use_cache=use_cache,
-            shards=shards,
-        )
-        for n_aps in ap_counts
-    }
 
 
 def format_deployment_table(results: dict, baseline: str = "802.11") -> str:

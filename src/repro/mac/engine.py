@@ -13,11 +13,19 @@ busy periods — using standard slot-jumping DCF simulation:
 Frame-decoding outcomes come from the pluggable error model (trace-driven
 from this package's PHY); failed subframes are retransmitted with priority,
 frames exceeding the retry limit are dropped.
+
+The protocol is the APs' downlink policy only. STAs are the engine's: a
+STA contends exactly when it is backlogged and sends
+``protocol.build_single(sta)``. Each round of the event loop queues the
+arrivals due, calls ``protocol.on_round(aps, now)`` with every AP, then
+asks the pure ``protocol.ready_time(ap, now)`` of each backlogged AP. A
+winning AP's exchange comes from ``protocol.build(ap, now)``, and once it
+has reached its receivers ``protocol.on_exchange(transmission, acked,
+now)`` reports the per-subframe ACK outcomes.
 """
 
 from __future__ import annotations
 
-import math
 from copy import copy
 
 from repro.mac.airtime import ack_airtime, single_frame_airtime
@@ -94,7 +102,8 @@ class WlanSimulator:
     """Runs one scenario: a protocol, a station population, a workload.
 
     Args:
-        protocol: Downlink transmission policy (one of the five schemes).
+        protocol: The APs' downlink transmission policy (one of the five
+            schemes); STAs always send single 802.11 frames.
         num_stations: STAs associated with the AP.
         arrivals: Time-sorted iterable of :class:`Arrival`. Downlink
             arrivals name the AP as source; uplink arrivals name a STA.
@@ -161,6 +170,7 @@ class WlanSimulator:
             for name in station_names
         }
         self.nodes = {**self.aps, **self.stations}
+        self._ap_nodes = tuple(self.aps.values())
         self._arrivals = iter(arrivals)
         self._pending_arrival: Arrival | None = None
         self.metrics = MetricsCollector()
@@ -223,6 +233,7 @@ class WlanSimulator:
         }
         while self.now < duration:
             self._inject_arrivals()
+            self.protocol.on_round(self._ap_nodes, self.now)
             ready, wake_time = self._ready_nodes()
             if not ready:
                 next_time = self._next_event_time(wake_time)
@@ -257,17 +268,24 @@ class WlanSimulator:
         self._pending_arrival = None
 
     def _ready_nodes(self):
-        """Nodes allowed to contend now, plus the earliest future wake time."""
+        """Nodes allowed to contend now, plus the earliest future AP wake time.
+
+        Backlogged APs contend once the protocol's ``ready_time`` has
+        passed; backlogged STAs contend at once. APs come first, so the
+        order matches ``self.nodes``.
+        """
         ready = []
         wake = None
-        for node in self.nodes.values():
-            t = self.protocol.ready_time(node, self.now)
-            if t is None:
+        now = self.now
+        for ap in self._ap_nodes:
+            if not ap.queue:
                 continue
-            if t <= self.now:
-                ready.append(node)
+            t = self.protocol.ready_time(ap, now)
+            if t <= now:
+                ready.append(ap)
             else:
                 wake = t if wake is None else min(wake, t)
+        ready.extend(sta for sta in self.stations.values() if sta.queue)
         return ready, wake
 
     def _next_event_time(self, wake_time):
@@ -327,12 +345,17 @@ class WlanSimulator:
                 node.on_collision()
         self.now += busy
 
+    def _build(self, node: Node):
+        """The node's next exchange: the protocol's for an AP, one frame for a STA."""
+        if node.is_ap:
+            return self.protocol.build(node, self.now)
+        return self.protocol.build_single(node)
+
     def _estimate_airtime(self, node: Node) -> float:
         """Airtime the node's next transmission would occupy (no side effects)."""
         saved_queue = copy(node.queue)
         try:
-            transmission = self.protocol.build(node, self.now)
-            return transmission.airtime
+            return self._build(node).airtime
         finally:
             node.queue.clear()
             node.queue.extend(saved_queue)
@@ -362,7 +385,7 @@ class WlanSimulator:
         return None
 
     def _transmit(self, node: Node) -> None:
-        transmission = self.protocol.build(node, self.now)
+        transmission = self._build(node)
         protected = self.use_rts_cts and node.is_ap
         overhead = self._rts_cts_overhead(len(transmission.subframes)) if protected else 0.0
 
@@ -463,8 +486,7 @@ class WlanSimulator:
                 else:
                     failed_frames.append(frame)
         if node.is_ap:
-            for subframe, ack_ok in zip(transmission.subframes, acked):
-                self.protocol.on_subframe_result(subframe.destination, ack_ok, self.now)
+            self.protocol.on_exchange(transmission, acked, self.now)
         node.requeue_front(failed_frames)
         if any(acked) or not transmission.subframes:
             node.on_success()
@@ -645,12 +667,3 @@ class WlanSimulator:
         """Names of all non-AP nodes."""
         return list(self.stations)
 
-
-def ack_sequence_time(num_receivers: int, params: PhyMacParameters) -> float:
-    """Total sequential-ACK tail for ``num_receivers`` (helper for tests)."""
-    return num_receivers * (params.sifs + ack_airtime(params))
-
-
-def estimate_slot_count(duration: float, params: PhyMacParameters) -> int:
-    """How many idle slots fit in ``duration`` (helper for tests)."""
-    return int(math.floor(duration / params.slot_time))

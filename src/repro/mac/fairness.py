@@ -13,10 +13,8 @@ positions of the aggregated frame).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.mac.node import Node
 from repro.mac.protocols.base import AggregationLimits, Transmission
 from repro.mac.protocols.carpool import CarpoolProtocol
 
@@ -59,8 +57,9 @@ class FairCarpoolProtocol(CarpoolProtocol):
     """Carpool whose aggregation order follows the time-occupancy table.
 
     Under-served destinations sort first, so when the receiver/byte limits
-    bind they win the contested aggregation slots; served airtime is
-    charged back into the table after every transmission.
+    bind they win the contested aggregation slots; each exchange that
+    reaches its receivers charges its subframes' airtime back into the
+    table (:meth:`on_exchange`), so collided aggregates cost nothing.
     """
 
     name = "Carpool-fair"
@@ -79,11 +78,8 @@ class FairCarpoolProtocol(CarpoolProtocol):
             frame.frame_id,
         )
 
-    def build(self, node: Node, now: float) -> Transmission:
-        """Build as Carpool, then charge the served airtime back into the table."""
-        transmission = super().build(node, now)
-        if node.is_ap:
-            for subframe in transmission.subframes:
-                duration = subframe.n_symbols * self.params.symbol_duration
-                self.occupancy.charge(subframe.destination, duration)
-        return transmission
+    def on_exchange(self, transmission: Transmission, acked: list, now: float) -> None:
+        """Charge the served subframes' airtime back into the table."""
+        for subframe in transmission.subframes:
+            duration = subframe.n_symbols * self.params.symbol_duration
+            self.occupancy.charge(subframe.destination, duration)

@@ -31,8 +31,6 @@ class AmpduProtocol(Protocol):
 
     def build(self, node: Node, now: float) -> Transmission:
         """Aggregate the head destination's frames into one A-MPDU."""
-        if not node.is_ap:
-            return self.build_uplink(node, now)
         head: MacFrame = node.queue[0]
         destination = head.destination
         chosen = []

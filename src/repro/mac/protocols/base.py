@@ -1,9 +1,31 @@
 """Protocol interface for the MAC simulator.
 
-A protocol decides what a node transmits when it wins the channel: how
-many queued frames ride in the PHY frame, for how many receivers, what the
-header/ACK overheads are, and whether the receiver decodes with RTE. The
-engine handles contention, collisions and error draws.
+A protocol is the AP's downlink policy: when a backlogged AP contends,
+and what it transmits when it wins the channel — how many queued frames
+ride in the PHY frame, for how many receivers, what the header/ACK
+overheads are, and whether the receivers decode with RTE. STAs send
+plain 802.11 frames in every scheme, so the engine handles them itself:
+a STA contends whenever it is backlogged and sends
+:meth:`Protocol.build_single`. The engine also handles contention,
+collisions and error draws.
+
+The engine asks two pure queries, of APs only:
+
+* :meth:`Protocol.ready_time` — of a backlogged AP; reads state and
+  changes nothing, so the engine may ask it as often as it likes;
+* :meth:`Protocol.build` — of the AP that won (or, to size a collision,
+  of each colliding AP); it only pops the frames it ships.
+
+Policy state changes at two named engine events:
+
+* :meth:`Protocol.on_round` — once per event-loop round, after that
+  round's arrivals are queued and before any readiness query, with every
+  AP, backlogged or not (WiFox adapts its priority, Carpool-fallback
+  re-promotes receivers);
+* :meth:`Protocol.on_exchange` — after each AP exchange that reached its
+  receivers, with the per-subframe ACK outcomes (Carpool-fallback tracks
+  failures, Carpool-fair charges served airtime). Collided and destroyed
+  exchanges never reach it.
 """
 
 from __future__ import annotations
@@ -93,26 +115,28 @@ class Protocol(ABC):
         #: RateTable); stations without an SNR report use the default rate.
         self.rate_table = rate_table
 
-    # --- engine hooks -------------------------------------------------------
+    # --- engine queries (pure) --------------------------------------------
 
-    def ready_time(self, node: Node, now: float) -> float | None:
-        """Earliest time this node should contend; None if nothing queued.
+    def ready_time(self, ap: Node, now: float) -> float:
+        """Earliest time the backlogged ``ap`` should contend.
 
-        Default: contend as soon as anything is queued. Aggregating
-        protocols may override to wait for the aggregation deadline.
+        Default: at once. Aggregating protocols override it to wait for
+        the aggregation deadline. Reads state only.
         """
-        return now if node.backlogged else None
+        return now
 
     @abstractmethod
-    def build(self, node: Node, now: float) -> Transmission:
-        """Pop frames from ``node`` and shape one transmission."""
+    def build(self, ap: Node, now: float) -> Transmission:
+        """Pop the frames ``ap`` ships and shape one transmission."""
 
-    def on_subframe_result(self, destination: str, ok: bool, now: float) -> None:
-        """Feedback hook: the engine reports each AP subframe's ACK outcome.
+    # --- engine events -----------------------------------------------------
 
-        Default: ignore. Adaptive protocols (e.g. the fault-hardened
-        fallback Carpool) track per-receiver failure rates here.
-        """
+    def on_round(self, aps, now: float) -> None:
+        """Once per event-loop round, before readiness is asked. Default: no-op."""
+
+    def on_exchange(self, transmission: Transmission, acked: list, now: float) -> None:
+        """After an AP exchange reached its receivers; ``acked[i]`` is
+        subframe ``i``'s ACK outcome. Default: no-op."""
 
     # --- shared helpers ------------------------------------------------------
 
@@ -135,8 +159,8 @@ class Protocol(ABC):
         bits_per_symbol = self.rate_for(destination) * self.params.symbol_duration
         return max(1, math.ceil(8 * nbytes / bits_per_symbol))
 
-    def build_single(self, node: Node, rte: bool = False) -> Transmission:
-        """A plain 802.11 single-frame exchange (uplink default)."""
+    def build_single(self, node: Node) -> Transmission:
+        """A plain 802.11 single-frame exchange: what every STA sends."""
         frame: MacFrame = node.queue.popleft()
         n_symbols = self.payload_symbols(frame.size_bytes, frame.destination)
         airtime = self.params.plcp_header_time + n_symbols * self.params.symbol_duration
@@ -150,11 +174,7 @@ class Protocol(ABC):
                     frames=[frame],
                     start_symbol=0,
                     n_symbols=n_symbols,
-                    rte=rte,
+                    rte=False,
                 )
             ],
         )
-
-    def build_uplink(self, node: Node, now: float) -> Transmission:
-        """STAs always send single legacy frames in every scheme."""
-        return self.build_single(node)

@@ -38,20 +38,14 @@ class CarpoolMixedProtocol(CarpoolProtocol):
         oldest = min(node.queue, key=lambda f: (not f.delay_sensitive, f.arrival_time))
         return not self.is_carpool(oldest.destination)
 
-    def ready_time(self, node: Node, now: float):
+    def ready_time(self, ap: Node, now: float) -> float:
         """Legacy-headed queues contend immediately; Carpool backlogs may wait."""
-        if not node.backlogged:
-            return None
-        if not node.is_ap:
-            return now
-        if self._oldest_is_legacy(node):
+        if self._oldest_is_legacy(ap):
             return now  # legacy frames never wait for aggregation
-        return super().ready_time(node, now)
+        return super().ready_time(ap, now)
 
     def build(self, node: Node, now: float) -> Transmission:
         """Serve the oldest frame's population: legacy unicast or Carpool batch."""
-        if not node.is_ap:
-            return self.build_uplink(node, now)
         if self._oldest_is_legacy(node):
             # Pop the oldest legacy frame specifically, then ship it alone.
             oldest = min(

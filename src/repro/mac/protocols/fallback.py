@@ -8,7 +8,7 @@ receiver is better served by plain 802.11 unicast, which carries none of
 that shared-fate risk.
 
 :class:`FallbackCarpoolProtocol` watches per-receiver subframe outcomes
-through the engine's :meth:`on_subframe_result` feedback hook. When a
+through the engine's :meth:`on_exchange` event. When a
 receiver's recent failure rate crosses ``failure_threshold`` the AP
 *demotes* it to legacy unicast (exactly the coexistence path
 :class:`CarpoolMixedProtocol` already implements for never-capable
@@ -74,10 +74,28 @@ class FallbackCarpoolProtocol(CarpoolMixedProtocol):
             return False
         return destination not in self._demoted
 
-    # --- engine feedback ---------------------------------------------------
+    # --- engine events -----------------------------------------------------
 
-    def on_subframe_result(self, destination: str, ok: bool, now: float) -> None:
-        """Track outcomes; demote a receiver whose failure rate spikes."""
+    def on_exchange(self, transmission, acked: list, now: float) -> None:
+        """Track each subframe's outcome; demote receivers whose failure rate spikes."""
+        for subframe, ok in zip(transmission.subframes, acked):
+            self._record(subframe.destination, ok, now)
+
+    def on_round(self, aps, now: float) -> None:
+        """Re-promote receivers whose cooldown has elapsed."""
+        if not self._demoted:
+            return
+        expired = [d for d, t in self._demoted.items() if now - t >= self.cooldown]
+        for destination in expired:
+            del self._demoted[destination]
+            self.repromotions += 1
+            metrics().counter("mac.repromotions").inc()
+            rec = active_recorder()
+            if rec is not None:
+                rec.emit("mac", "repromote", t=round(now, 9),
+                         node=destination, demoted=len(self._demoted))
+
+    def _record(self, destination: str, ok: bool, now: float) -> None:
         if destination in self._demoted:
             return  # already on unicast; the cooldown owns re-promotion
         history = self._history.get(destination)
@@ -107,23 +125,6 @@ class FallbackCarpoolProtocol(CarpoolMixedProtocol):
         if rec is not None:
             rec.emit("mac", "demote", t=round(now, 9), node=destination,
                      demoted=len(self._demoted))
-
-    def _maybe_repromote(self, now: float) -> None:
-        expired = [d for d, t in self._demoted.items() if now - t >= self.cooldown]
-        for destination in expired:
-            del self._demoted[destination]
-            self.repromotions += 1
-            metrics().counter("mac.repromotions").inc()
-            rec = active_recorder()
-            if rec is not None:
-                rec.emit("mac", "repromote", t=round(now, 9),
-                         node=destination, demoted=len(self._demoted))
-
-    def ready_time(self, node, now: float):
-        """Re-promotion piggybacks on the scheduler's polling."""
-        if node.is_ap and self._demoted:
-            self._maybe_repromote(now)
-        return super().ready_time(node, now)
 
     def demoted_stations(self) -> set:
         """Receivers currently served by plain 802.11 unicast."""

@@ -11,7 +11,6 @@ from collections import OrderedDict
 
 from repro.mac.airtime import ack_airtime
 from repro.mac.node import Node
-from repro.mac.parameters import PhyMacParameters
 from repro.mac.protocols.base import AggregationLimits, Protocol, SubframeTx, Transmission
 
 __all__ = ["select_multi_receiver_batch", "MultiReceiverProtocol"]
@@ -78,38 +77,26 @@ class MultiReceiverProtocol(Protocol):
     header_symbols: int = 0
     subframe_header_symbols: int = 0
     subframe_header_bytes: int = 0
-    wait_for_aggregation: bool = True
     #: Cap on frames per aggregate, across receivers (None = per-subframe
     #: limits only). MU-Aggregation shares one BlockAck window.
     max_total_frames: int | None = None
 
-    def __init__(self, params: PhyMacParameters, limits: AggregationLimits | None = None,
-                 rate_table=None):
-        super().__init__(params, limits, rate_table)
-
-    def ready_time(self, node: Node, now: float) -> float | None:
-        """APs may hold back briefly to let the aggregate fill (§7.2)."""
-        if not node.backlogged:
-            return None
-        if not node.is_ap or not self.wait_for_aggregation:
+    def ready_time(self, ap: Node, now: float) -> float:
+        """Hold back until the aggregate fills or its oldest frame's deadline (§7.2)."""
+        if ap.pending_bytes >= self.limits.max_frame_bytes:
             return now
-        if node.pending_bytes >= self.limits.max_frame_bytes:
+        if len({f.destination for f in ap.queue}) >= self.limits.max_receivers:
             return now
-        if len({f.destination for f in node.queue}) >= self.limits.max_receivers:
-            return now
-        deadline = node.oldest_arrival() + self.limits.max_latency
-        return max(now, deadline) if deadline > now else now
+        return max(now, ap.oldest_arrival() + self.limits.max_latency)
 
     def selection_key(self, frame):
         """Frame-ordering hook; fairness-aware subclasses override this."""
         return default_selection_key(frame)
 
-    def build(self, node: Node, now: float) -> Transmission:
+    def build(self, ap: Node, now: float) -> Transmission:
         """Select a multi-receiver batch and lay it out as subframes."""
-        if not node.is_ap:
-            return self.build_uplink(node, now)
         batch = select_multi_receiver_batch(
-            node, self.limits, self.max_total_frames, self.selection_key
+            ap, self.limits, self.max_total_frames, self.selection_key
         )
         subframes = []
         cursor = self.header_symbols
@@ -131,5 +118,5 @@ class MultiReceiverProtocol(Protocol):
         num_receivers = len(subframes)
         ack_time = num_receivers * (self.params.sifs + ack_airtime(self.params))
         return Transmission(
-            node_name=node.name, airtime=airtime, ack_time=ack_time, subframes=subframes
+            node_name=ap.name, airtime=airtime, ack_time=ack_time, subframes=subframes
         )

@@ -9,14 +9,13 @@ beats plain 802.11 in the paper's Fig. 15 but stays well below the
 aggregation schemes, and below Carpool in particular.
 
 We model the priority as a contention-window scale stepped down as the AP
-backlog grows, re-evaluated before every access — the queue-length-driven
-adaptive priority the WiFox paper describes.
+backlog grows, re-evaluated every engine round (:meth:`on_round`), before
+any access — the queue-length-driven adaptive priority the WiFox paper
+describes.
 """
 
 from __future__ import annotations
 
-from repro.mac.node import Node
-from repro.mac.protocols.base import Transmission
 from repro.mac.protocols.dot11 import Dot11Protocol
 
 __all__ = ["WifoxProtocol"]
@@ -31,24 +30,14 @@ class WifoxProtocol(Dot11Protocol):
     #: backlog (frames) → CW scale; deeper backlog, stronger priority.
     PRIORITY_STEPS = ((40, 0.125), (20, 0.25), (8, 0.5))
 
-    def ready_time(self, node: Node, now: float) -> float | None:
-        """Re-evaluate AP priority from its backlog before contending."""
-        if node.is_ap:
-            self._adapt_priority(node)
-        return super().ready_time(node, now)
-
-    def build(self, node: Node, now: float) -> Transmission:
-        """Plain single-frame build, with the AP's priority refreshed."""
-        if node.is_ap:
-            self._adapt_priority(node)
-        return super().build(node, now)
-
-    def _adapt_priority(self, ap: Node) -> None:
-        backlog = len(ap.queue)
-        scale = 1.0
-        for threshold, step_scale in self.PRIORITY_STEPS:
-            if backlog >= threshold:
-                scale = step_scale
-                break
-        if scale != ap.cw_scale:
-            ap.set_priority_scale(scale)
+    def on_round(self, aps, now: float) -> None:
+        """Re-evaluate each AP's priority from its backlog."""
+        for ap in aps:
+            backlog = len(ap.queue)
+            scale = 1.0
+            for threshold, step_scale in self.PRIORITY_STEPS:
+                if backlog >= threshold:
+                    scale = step_scale
+                    break
+            if scale != ap.cw_scale:
+                ap.set_priority_scale(scale)

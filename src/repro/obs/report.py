@@ -14,8 +14,9 @@
 
 from __future__ import annotations
 
-import json
 import os
+
+from repro.util.jsonl import read_records
 
 __all__ = [
     "load_events",
@@ -42,31 +43,11 @@ TRANSITION_EVENT_NAMES = frozenset({"demote", "repromote"})
 def load_events(path) -> list:
     """Parse a JSONL trace file into a list of event dicts.
 
-    A *final* line that opens a JSON object but fails to parse is
-    tolerated and skipped — that is the ≤1-orphan artifact a hard kill
-    mid-append leaves, the same one ``trim_epoch_records`` trims on
-    resume. A malformed line anywhere else (or a final line that is not
-    even truncated JSON) is corruption and raises ``ValueError``.
+    A torn final line (the ≤1-orphan artifact a hard kill mid-append
+    leaves) is skipped; any other malformed line raises ``ValueError``
+    naming the file and line (:mod:`repro.util.jsonl`).
     """
-    events = []
-    held: tuple | None = None  # (line_no, line, exc) awaiting tail check
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if held is not None:
-                bad_no, bad_line, exc = held
-                raise ValueError(
-                    f"{path}:{bad_no}: not valid JSON: {exc}") from exc
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                held = (line_no, line, exc)
-    if held is not None and not held[1].startswith("{"):
-        bad_no, _bad_line, exc = held
-        raise ValueError(f"{path}:{bad_no}: not valid JSON: {exc}") from exc
-    return events
+    return list(read_records(path))
 
 
 def final_metrics(events) -> dict:

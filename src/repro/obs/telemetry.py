@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
+
+from repro.util.jsonl import append_record, read_records, trim_records
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -116,83 +118,26 @@ def append_telemetry_record(directory, record: dict) -> None:
     """Append one record (fsynced), mirroring ``append_epoch_record``:
     called *before* the state cursor advances, so a hard kill leaves at
     most one orphan for :func:`trim_telemetry_records` to drop."""
-    os.makedirs(directory, exist_ok=True)
-    path = telemetry_paths(directory)["telemetry"]
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    append_record(telemetry_paths(directory)["telemetry"], record)
 
 
 def read_telemetry_records(directory) -> Iterator[dict]:
     """Yield records in file order (streaming, constant memory).
 
-    A truncated *final* line — what a kill mid-append leaves — is
-    skipped silently: it is the same ≤1-orphan artifact the resume path
-    trims, and a live ``repro status`` reader must tolerate it.
+    A torn final line — what a kill mid-append leaves — is skipped: it
+    is the same ≤1-orphan artifact the resume path trims, and a live
+    ``repro status`` reader must tolerate it. Any other malformed line
+    raises ``ValueError`` (:mod:`repro.util.jsonl`).
     """
     path = telemetry_paths(directory)["telemetry"]
-    if not os.path.exists(path):
-        return
-    bad: Optional[str] = None
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if bad is not None:
-                # A malformed line *followed by more data* is corruption,
-                # not a truncated tail.
-                raise ValueError(
-                    f"{path}: malformed telemetry record: {bad[:80]!r}")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                bad = line
-                continue
-            yield record
-    if bad is not None and not line_is_tail_tolerable(bad):
-        raise ValueError(f"{path}: malformed telemetry record: {bad[:80]!r}")
-
-
-def line_is_tail_tolerable(line: str) -> bool:
-    """True when a non-parsing final line looks like a truncated record
-    (a kill mid-append) rather than corruption: it must at least open a
-    JSON object."""
-    return line.startswith("{")
+    if os.path.exists(path):
+        yield from read_records(path)
 
 
 def trim_telemetry_records(directory, next_epoch: int) -> int:
-    """Drop records at or past the cursor; return how many were dropped.
-
-    The telemetry twin of ``trim_epoch_records``: streaming rewrite, one
-    atomic rename. Unparsable lines (the truncated tail a kill leaves)
-    are dropped as orphans too.
-    """
-    path = telemetry_paths(directory)["telemetry"]
-    if not os.path.exists(path):
-        return 0
-    dropped = 0
-    tmp = path + ".tmp"
-    with open(path, encoding="utf-8") as src, \
-            open(tmp, "w", encoding="utf-8") as dst:
-        for line in src:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError:
-                dropped += 1
-                continue
-            if record["epoch"] >= next_epoch:
-                dropped += 1
-                continue
-            dst.write(stripped + "\n")
-        dst.flush()
-        os.fsync(dst.fileno())
-    os.replace(tmp, path)
-    return dropped
+    """Drop records at or past the cursor, and a torn tail; return how
+    many were dropped. The telemetry twin of ``trim_epoch_records``."""
+    return trim_records(telemetry_paths(directory)["telemetry"], next_epoch)
 
 
 def deterministic_view(records: Iterable[dict]) -> list:

@@ -18,7 +18,6 @@ __all__ = [
     "estimate_cfo_from_ltf",
     "phase_step_from_cfo",
     "cfo_from_phase_step",
-    "compensate_symbols",
 ]
 
 
@@ -44,16 +43,3 @@ def phase_step_from_cfo(cfo_hz: float, symbol_duration: float = SYMBOL_DURATION_
 def cfo_from_phase_step(phase_step: float, symbol_duration: float = SYMBOL_DURATION_20MHZ) -> float:
     """Inverse of :func:`phase_step_from_cfo`."""
     return phase_step / (2.0 * np.pi * symbol_duration)
-
-
-def compensate_symbols(symbols: np.ndarray, phase_step: float,
-                       first_symbol_index: int = 0) -> np.ndarray:
-    """De-rotate an (N, 52) symbol array by an accumulating phase ramp.
-
-    Symbol ``i`` (absolute index ``first_symbol_index + i``) is rotated by
-    ``-phase_step * (first_symbol_index + i)``.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    indices = first_symbol_index + np.arange(symbols.shape[0])
-    ramp = np.exp(-1j * phase_step * indices)
-    return symbols * ramp[:, None]

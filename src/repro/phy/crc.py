@@ -6,17 +6,16 @@
   phase-offset side channel (paper §5.2: a 2-bit CRC per OFDM symbol gives
   the best reliability/granularity trade-off).
 
-All CRCs here operate on 0/1 bit arrays so they compose directly with the
-PHY bit pipeline.
+All CRCs here except :func:`crc32` (which takes bytes) operate on 0/1 bit
+arrays so they compose directly with the PHY bit pipeline.
 """
 
 from __future__ import annotations
 
+import zlib
 from functools import lru_cache
 
 import numpy as np
-
-from repro.util.bits import bytes_to_bits
 
 __all__ = [
     "crc_bits",
@@ -109,8 +108,12 @@ def crc32_bits(bits: np.ndarray) -> int:
 
 
 def crc32(data: bytes) -> int:
-    """CRC-32 over bytes — the 802.11 FCS."""
-    return crc32_bits(bytes_to_bits(data))
+    """CRC-32 over bytes — the 802.11 FCS.
+
+    The stdlib's table-driven CRC-32; :func:`crc32_bits` is the bit-level
+    oracle it is tested against.
+    """
+    return zlib.crc32(data)
 
 
 def crc8_bits(bits: np.ndarray) -> int:

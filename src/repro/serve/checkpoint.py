@@ -36,6 +36,7 @@ import os
 
 from repro.net.aggregate import DeploymentAggregate
 from repro.obs.manifest import config_hash
+from repro.util.jsonl import append_record, read_records, trim_records
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -150,51 +151,23 @@ def append_epoch_record(directory, record: dict) -> None:
     that makes a hard kill recoverable: the record file may run at most
     one epoch ahead of the state, never behind it.
     """
-    os.makedirs(directory, exist_ok=True)
-    path = state_paths(directory)["metrics"]
     if "schema_version" not in record:
         record = dict(record, schema_version=CHECKPOINT_SCHEMA)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+    append_record(state_paths(directory)["metrics"], record)
 
 
 def read_epoch_records(directory):
     """Yield epoch records in file order (streaming, constant memory)."""
     path = state_paths(directory)["metrics"]
-    if not os.path.exists(path):
-        return
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+    if os.path.exists(path):
+        yield from read_records(path)
 
 
 def trim_epoch_records(directory, next_epoch: int) -> int:
     """Drop records at or past the cursor; return how many were dropped.
 
-    Streaming rewrite (line in, line out, then one atomic rename): a
-    kill that landed between the record append and the state rewrite
-    left exactly one orphan record, and a resumed run must not double it.
+    A kill that landed between the record append and the state rewrite
+    left one orphan record (or a torn half of one), and a resumed run
+    must not double it.
     """
-    path = state_paths(directory)["metrics"]
-    if not os.path.exists(path):
-        return 0
-    dropped = 0
-    tmp = path + ".tmp"
-    with open(path, encoding="utf-8") as src, \
-            open(tmp, "w", encoding="utf-8") as dst:
-        for line in src:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if json.loads(stripped)["epoch"] >= next_epoch:
-                dropped += 1
-                continue
-            dst.write(stripped + "\n")
-        dst.flush()
-        os.fsync(dst.fileno())
-    os.replace(tmp, path)
-    return dropped
+    return trim_records(state_paths(directory)["metrics"], next_epoch)

@@ -1,4 +1,7 @@
-"""Shared utilities: seeded RNG streams, bit packing, unit constants."""
+"""Shared utilities: seeded RNG streams, bit packing, unit constants.
+
+Append-only JSONL files (one torn-tail rule) live in :mod:`repro.util.jsonl`.
+"""
 
 from repro.util.bits import (
     bits_to_bytes,

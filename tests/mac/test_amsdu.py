@@ -46,12 +46,6 @@ class TestAmsduBuild:
         tx = proto.build(ap, 0.0)
         assert {f.destination for f in tx.subframes[0].frames} == {"sta0"}
 
-    def test_sta_uplink_single(self):
-        proto = AmsduProtocol(DEFAULT_PARAMETERS)
-        sta = Node("sta0", DEFAULT_PARAMETERS, RngStream(1).child("s"), is_ap=False)
-        sta.enqueue(_frame("ap"))
-        assert len(proto.build(sta, 0.0).subframes) == 1
-
 
 class TestAllOrNothingReliability:
     def _arrivals(self):

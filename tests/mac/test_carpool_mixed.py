@@ -65,13 +65,6 @@ class TestMixedProtocol:
         ap.enqueue(_frame("sta0", t=5.0))
         assert proto.ready_time(ap, 5.0) == pytest.approx(5.01)
 
-    def test_sta_uplink_unchanged(self):
-        proto = _proto()
-        sta = Node("sta0", DEFAULT_PARAMETERS, RngStream(1).child("s"), is_ap=False)
-        sta.enqueue(_frame("ap"))
-        tx = proto.build(sta, 0.0)
-        assert len(tx.subframes) == 1
-
     def test_alternates_between_populations(self):
         """Legacy and Carpool backlogs both drain: serving one never
         starves the other indefinitely."""

@@ -1,10 +1,12 @@
 import pytest
 
+from repro.mac.engine import WlanSimulator
 from repro.mac.fairness import FairCarpoolProtocol, TimeOccupancyTable
 from repro.mac.frames import MacFrame
 from repro.mac.node import Node
 from repro.mac.parameters import DEFAULT_PARAMETERS
 from repro.mac.protocols.base import AggregationLimits
+from repro.mac.scenarios import VoipScenario
 from repro.util.rng import RngStream
 
 
@@ -76,7 +78,9 @@ class TestFairCarpool:
         proto = self._proto()
         ap = _ap()
         ap.enqueue(_frame("sta0"))
-        proto.build(ap, 1.0)
+        tx = proto.build(ap, 1.0)
+        assert proto.occupancy.occupancy("sta0") == 0  # build is pure
+        proto.on_exchange(tx, [False], 1.0)
         assert proto.occupancy.occupancy("sta0") > 0
 
     def test_rotation_evens_out_service(self):
@@ -89,12 +93,35 @@ class TestFairCarpool:
             for i in range(10):
                 ap.enqueue(_frame(f"sta{i}", t=round_ * 0.01 + i * 1e-4))
             while ap.queue:
-                proto.build(ap, 10.0)
+                tx = proto.build(ap, 10.0)
+                proto.on_exchange(tx, [True] * len(tx.subframes), 10.0)
+        assert all(proto.occupancy.occupancy(f"sta{i}") > 0 for i in range(10))
         assert proto.occupancy.jain_index() > 0.95
 
-    def test_uplink_unaffected(self):
-        proto = self._proto()
-        sta = Node("sta0", DEFAULT_PARAMETERS, RngStream(1).child("s"), is_ap=False)
-        sta.enqueue(_frame("ap"))
-        tx = proto.build(sta, 0.0)
-        assert len(tx.subframes) == 1
+
+def test_table_charges_only_exchanges_that_were_sent(monkeypatch):
+    """Collided aggregates are sized by a trial ``build`` and never sent:
+    the table holds exactly the airtime of the AP exchanges that were."""
+    sent: dict = {}
+    account = WlanSimulator._account_airtime
+
+    def record(sim, node, transmission, overhead):
+        if node.is_ap:
+            for subframe in transmission.subframes:
+                sent[subframe.destination] = (
+                    sent.get(subframe.destination, 0.0)
+                    + subframe.n_symbols * sim.params.symbol_duration)
+        account(sim, node, transmission, overhead)
+
+    monkeypatch.setattr(WlanSimulator, "_account_airtime", record)
+    protocols = []
+
+    def factory(params, limits):
+        protocols.append(FairCarpoolProtocol(params, limits))
+        return protocols[0]
+
+    result = VoipScenario(num_stations=10, num_aps=2, duration=2.0,
+                          seed=3).run(factory)
+    assert result.collisions > 0
+    table = protocols[0].occupancy
+    assert sent and {s: table.occupancy(s) for s in sent} == sent

@@ -13,13 +13,20 @@ from repro.mac import (
 )
 from repro.mac.engine import AP_NAME
 from repro.mac.frames import Direction
-from repro.mac.protocols.base import AggregationLimits
+from repro.mac.protocols.base import AggregationLimits, SubframeTx, Transmission
 from repro.util.rng import RngStream
 
 
 def _protocol(**kwargs):
     return FallbackCarpoolProtocol(
         DEFAULT_PARAMETERS, AggregationLimits(max_latency=0.005), **kwargs)
+
+
+def _report(proto, destination, ok, now):
+    """One single-subframe exchange to ``destination`` with ACK outcome ``ok``."""
+    subframe = SubframeTx(destination=destination, frames=[], start_symbol=0,
+                          n_symbols=1, rte=True)
+    proto.on_exchange(Transmission("ap", 0.0, 0.0, [subframe]), [ok], now)
 
 
 class TestDemotionLogic:
@@ -29,7 +36,7 @@ class TestDemotionLogic:
     def test_healthy_receiver_stays_carpool(self):
         proto = _protocol()
         for i in range(50):
-            proto.on_subframe_result("sta0", True, i * 1e-3)
+            _report(proto, "sta0", True, i * 1e-3)
         assert proto.is_carpool("sta0")
         assert proto.demotions == 0
 
@@ -39,11 +46,11 @@ class TestDemotionLogic:
         proto = _protocol(fail_fast=3)
         # A long success history that would anchor the windowed rate.
         for i in range(20):
-            proto.on_subframe_result("sta0", True, i * 1e-3)
-        proto.on_subframe_result("sta0", False, 0.021)
-        proto.on_subframe_result("sta0", False, 0.022)
+            _report(proto, "sta0", True, i * 1e-3)
+        _report(proto, "sta0", False, 0.021)
+        _report(proto, "sta0", False, 0.022)
         assert proto.is_carpool("sta0")  # 2 < fail_fast
-        proto.on_subframe_result("sta0", False, 0.023)
+        _report(proto, "sta0", False, 0.023)
         assert not proto.is_carpool("sta0")
         assert proto.demotions == 1
         assert proto.demoted_stations() == {"sta0"}
@@ -51,7 +58,7 @@ class TestDemotionLogic:
     def test_success_resets_the_failure_streak(self):
         proto = _protocol(fail_fast=3, failure_threshold=0.95)
         for t, ok in enumerate([False, False, True, False, False, True]):
-            proto.on_subframe_result("sta0", ok, t * 1e-3)
+            _report(proto, "sta0", ok, t * 1e-3)
         assert proto.is_carpool("sta0")
 
     def test_windowed_rate_demotes_on_sustained_loss(self):
@@ -61,14 +68,14 @@ class TestDemotionLogic:
                           fail_fast=0)
         outcomes = [False, False, True, False, False, True, False, False]
         for t, ok in enumerate(outcomes):
-            proto.on_subframe_result("sta0", ok, t * 1e-3)
+            _report(proto, "sta0", ok, t * 1e-3)
         assert not proto.is_carpool("sta0")
 
     def test_demotion_is_per_receiver(self):
         proto = _protocol(fail_fast=2)
         for t in range(2):
-            proto.on_subframe_result("bad", False, t * 1e-3)
-            proto.on_subframe_result("good", True, t * 1e-3)
+            _report(proto, "bad", False, t * 1e-3)
+            _report(proto, "good", True, t * 1e-3)
         assert not proto.is_carpool("bad")
         assert proto.is_carpool("good")
 
@@ -81,12 +88,12 @@ class TestDemotionLogic:
 class TestRepromotion:
     def test_cooldown_restores_carpool_service(self):
         proto = _protocol(fail_fast=2, cooldown=0.25)
-        proto.on_subframe_result("sta0", False, 0.010)
-        proto.on_subframe_result("sta0", False, 0.011)
+        _report(proto, "sta0", False, 0.010)
+        _report(proto, "sta0", False, 0.011)
         assert not proto.is_carpool("sta0")
-        proto._maybe_repromote(0.100)
+        proto.on_round((), 0.100)
         assert not proto.is_carpool("sta0")  # cooldown not yet elapsed
-        proto._maybe_repromote(0.300)
+        proto.on_round((), 0.300)
         assert proto.is_carpool("sta0")
         assert proto.repromotions == 1
 
@@ -95,9 +102,9 @@ class TestRepromotion:
         failures must not trigger an instant re-demotion."""
         proto = _protocol(fail_fast=3, cooldown=0.1)
         for t in range(3):
-            proto.on_subframe_result("sta0", False, t * 1e-3)
-        proto._maybe_repromote(1.0)
-        proto.on_subframe_result("sta0", False, 1.001)
+            _report(proto, "sta0", False, t * 1e-3)
+        proto.on_round((), 1.0)
+        _report(proto, "sta0", False, 1.001)
         assert proto.is_carpool("sta0")  # one failure < fail_fast again
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from repro.mac.frames import MacFrame
+from repro.mac.engine import AP_NAME, WlanSimulator
+from repro.mac.frames import Arrival, Direction, MacFrame
 from repro.mac.node import Node
 from repro.mac.parameters import DEFAULT_PARAMETERS
 from repro.mac.protocols import (
@@ -124,14 +125,6 @@ class TestAmpdu:
         assert starts == sorted(starts)
         assert starts[0] == 0
 
-    def test_sta_sends_single_frames(self):
-        proto = AmpduProtocol(DEFAULT_PARAMETERS)
-        sta = _node("sta0", is_ap=False)
-        sta.enqueue(_frame("ap"))
-        sta.enqueue(_frame("ap"))
-        tx = proto.build(sta, 0.0)
-        assert len(tx.subframes) == 1
-
 
 class TestCarpool:
     def test_multi_receiver_aggregation(self):
@@ -212,8 +205,13 @@ class TestCarpool:
         assert proto.ready_time(node, 1.0) == 1.0
 
     def test_empty_queue_not_ready(self):
-        proto = CarpoolProtocol(DEFAULT_PARAMETERS)
-        assert proto.ready_time(_node(), 0.0) is None
+        """The engine asks readiness of backlogged APs only."""
+        class Unasked(CarpoolProtocol):
+            def ready_time(self, ap, now):
+                raise AssertionError("ready_time asked of an empty AP")
+
+        sim = WlanSimulator(Unasked(DEFAULT_PARAMETERS), 2, [])
+        assert sim._ready_nodes() == ([], None)
 
 
 class TestMuAggregation:
@@ -257,7 +255,7 @@ class TestWifox:
         node = _node()
         for i in range(50):
             node.enqueue(_frame(f"sta{i % 5}"))
-        proto.ready_time(node, 0.0)
+        proto.on_round([node], 0.0)
         assert node.cw_scale < 1.0
 
     def test_priority_released_when_drained(self):
@@ -265,19 +263,22 @@ class TestWifox:
         node = _node()
         for i in range(50):
             node.enqueue(_frame("sta0"))
-        proto.ready_time(node, 0.0)
+        proto.on_round([node], 0.0)
         node.queue.clear()
-        node.enqueue(_frame("sta0"))
-        proto.ready_time(node, 0.0)
+        proto.on_round([node], 0.0)
         assert node.cw_scale == 1.0
 
     def test_stas_get_no_priority(self):
-        proto = WifoxProtocol(DEFAULT_PARAMETERS)
-        sta = _node("sta0", is_ap=False)
-        for _ in range(50):
-            sta.enqueue(_frame("ap"))
-        proto.ready_time(sta, 0.0)
-        assert sta.cw_scale == 1.0
+        """Only APs reach ``on_round``: a STA's deep backlog never scales its CW."""
+        arrivals = [
+            Arrival(time=1e-4 * i, source="sta0", destination=AP_NAME,
+                    size_bytes=300, direction=Direction.UPLINK)
+            for i in range(60)
+        ]
+        sim = WlanSimulator(WifoxProtocol(DEFAULT_PARAMETERS), 1, arrivals)
+        sim.run(0.004)
+        assert len(sim.stations["sta0"].queue) >= 8
+        assert sim.stations["sta0"].cw_scale == 1.0
 
 
 class TestRegistry:

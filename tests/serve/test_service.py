@@ -79,6 +79,22 @@ class TestKillResumeIdentity:
         assert _artifact_bytes(tmp_path / "a") \
             == _artifact_bytes(tmp_path / "b")
 
+    def test_resume_after_torn_metrics_tail(self, tmp_path):
+        """A kill mid-append leaves half a record; resume drops it."""
+        run_soak(_config(tmp_path, "straight", epochs=3, telemetry=True))
+        run_soak(_config(tmp_path, "torn", epochs=2, telemetry=True))
+        directory = tmp_path / "torn"
+        with open(state_paths(directory)["metrics"], "a") as handle:
+            handle.write('{"epoch": 2, "x"')
+        with open(telemetry_paths(directory)["telemetry"], "a") as handle:
+            handle.write('{"schema_version": 1, "epoch": 2, "de')
+        run_soak(_config(tmp_path, "torn", epochs=3, resume=True,
+                         telemetry=True))
+        assert _artifact_bytes(tmp_path / "straight") \
+            == _artifact_bytes(directory)
+        assert deterministic_view_bytes(tmp_path / "straight") \
+            == deterministic_view_bytes(directory)
+
     def test_faults_change_the_run(self, tmp_path):
         clean = run_soak(_config(tmp_path, "clean", epochs=3))
         faulty = run_soak(_config(tmp_path, "faulty", epochs=3,
