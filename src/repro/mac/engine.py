@@ -201,9 +201,6 @@ class WlanSimulator:
         self.airtime_by_node = {
             name: {"tx": 0.0, "rx": 0.0} for name in self.nodes
         }
-        # Optional event timeline for debugging/teaching: call
-        # enable_timeline() before run(); events land in self.timeline.
-        self.timeline: list | None = None
         # Ambient obs hooks, looked up once per run() so disabled runs pay
         # a single None check per logged event.
         self._rec = None
@@ -211,13 +208,7 @@ class WlanSimulator:
 
     # ------------------------------------------------------------------ #
 
-    def enable_timeline(self) -> None:
-        """Record (time, event, node, detail) tuples during run()."""
-        self.timeline = []
-
     def _log(self, event: str, node: str, detail: str = "") -> None:
-        if self.timeline is not None:
-            self.timeline.append((self.now, event, node, detail))
         if self._rec is not None:
             self._rec.emit("mac", event, t=round(self.now, 9), node=node,
                            detail=detail)
@@ -394,14 +385,9 @@ class WlanSimulator:
         # exchange, like an unprotected hidden-node collision.
         if self._faults is not None and self._faults.hidden_window_hit(self.now):
             self.hidden_collisions += 1
-            total = overhead + transmission.total_duration
-            self._log("fault-hidden", node.name, f"busy={total * 1e6:.0f}us")
-            self.metrics.record_collision(total)
-            for _subframe in transmission.subframes:
-                self.metrics.record_retransmission()
-            self._requeue_transmission(node, transmission, count_retry=True)
-            node.on_collision()
-            self.now += total
+            self._abort(node, transmission,
+                        overhead + transmission.total_duration, whole=True,
+                        event="fault-hidden")
             return
 
         interferers = self._hidden_interferers(node)
@@ -411,42 +397,27 @@ class WlanSimulator:
                 # silences the hidden nodes (§4.2, Fig. 7).
                 rts_time = single_frame_airtime(_RTS_BYTES, self.params)
                 culprit = self._hidden_hit(interferers, rts_time)
-                if culprit is not None:
-                    self.hidden_collisions += 1
-                    busy = rts_time + self.params.difs
-                    self.metrics.record_collision(busy)
-                    node.on_collision()
-                    culprit.on_collision()
-                    self._requeue_transmission(node, transmission)
-                    self.now += busy
-                    return
+                busy = rts_time + self.params.difs
+                whole = False
             else:
                 culprit = self._hidden_hit(
                     interferers, overhead + transmission.airtime
                 )
-                if culprit is not None:
-                    self.hidden_collisions += 1
-                    total = overhead + transmission.total_duration
-                    self.metrics.record_collision(total)
-                    for subframe in transmission.subframes:
-                        self.metrics.record_retransmission()
-                    self._requeue_transmission(node, transmission, count_retry=True)
-                    node.on_collision()
-                    culprit.on_collision()
-                    self.now += total
-                    return
+                busy = overhead + transmission.total_duration
+                whole = True
+            if culprit is not None:
+                self.hidden_collisions += 1
+                culprit.on_collision()
+                self._abort(node, transmission, busy, whole)
+                return
 
         # Injected RTS/CTS failure: a lost CTS aborts the exchange after
         # the RTS + one CTS slot's worth of airtime.
         if protected and self._faults is not None and self._faults.cts_lost(self.now):
-            rts_time = single_frame_airtime(_RTS_BYTES, self.params)
-            cts_time = self.params.plcp_header_time + 8 * _CTS_BYTES / self.params.basic_rate_bps
-            busy = rts_time + self.params.sifs + cts_time + self.params.difs
-            self._log("fault-cts-loss", node.name, f"busy={busy * 1e6:.0f}us")
-            self.metrics.record_collision(busy)
-            node.on_collision()
-            self._requeue_transmission(node, transmission)
-            self.now += busy
+            busy = (single_frame_airtime(_RTS_BYTES, self.params)
+                    + self.params.sifs + self._cts_airtime() + self.params.difs)
+            self._abort(node, transmission, busy, whole=False,
+                        event="fault-cts-loss")
             return
 
         total = overhead + transmission.total_duration
@@ -642,23 +613,42 @@ class WlanSimulator:
             report[name] = power_model.energy(tx, rx, idle)
         return report
 
-    def _requeue_transmission(self, node: Node, transmission, count_retry: bool = False) -> None:
-        """Put a destroyed transmission's frames back at the queue head."""
+    def _abort(self, node: Node, transmission, busy: float, whole: bool,
+               event: str | None = None) -> None:
+        """The exchange was destroyed: ``busy`` seconds of channel, no ACKs.
+
+        ``whole=True`` means the data itself was lost: every subframe
+        counts as retransmitted and every frame is charged a retry (and
+        dropped past the retry limit). ``whole=False`` means only the
+        RTS/CTS handshake failed: the frames go back exactly as they were.
+        Either way they return to the queue head.
+        """
+        if event is not None:
+            self._log(event, node.name, f"busy={busy * 1e6:.0f}us")
+        self.metrics.record_collision(busy)
+        if whole:
+            self.metrics.record_retransmission(len(transmission.subframes))
         frames = []
         for subframe in transmission.subframes:
             for frame in subframe.frames:
-                if count_retry:
+                if whole:
                     frame.retries += 1
                     if frame.retries > self.params.retry_limit:
                         self.metrics.record_drop(frame)
                         continue
                 frames.append(frame)
         node.requeue_front(frames)
+        node.on_collision()
+        self.now += busy
+
+    def _cts_airtime(self) -> float:
+        """One CTS at the basic rate."""
+        return self.params.plcp_header_time + 8 * _CTS_BYTES / self.params.basic_rate_bps
 
     def _rts_cts_overhead(self, num_receivers: int) -> float:
         """Multicast RTS followed by per-receiver CTSs (§4.2, Fig. 7)."""
         rts = single_frame_airtime(_RTS_BYTES, self.params)
-        cts = self.params.plcp_header_time + 8 * _CTS_BYTES / self.params.basic_rate_bps
+        cts = self._cts_airtime()
         return rts + max(1, num_receivers) * (self.params.sifs + cts) + self.params.sifs
 
     # Convenience ------------------------------------------------------------

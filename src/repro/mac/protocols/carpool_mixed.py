@@ -54,14 +54,14 @@ class CarpoolMixedProtocol(CarpoolProtocol):
             node.queue.remove(oldest)
             node.queue.appendleft(oldest)
             return self.build_single(node)
-        # Aggregate only the Carpool-capable backlog: stash legacy frames
-        # aside so the selector never sees them.
-        legacy = [f for f in node.queue if not self.is_carpool(f.destination)]
-        capable = [f for f in node.queue if self.is_carpool(f.destination)]
+        # Aggregate only the Carpool-capable backlog: hide legacy frames
+        # from the selector, then put every unshipped frame back in its
+        # original order.
+        queued = list(node.queue)
         node.queue.clear()
-        node.queue.extend(capable)
-        try:
-            transmission = super().build(node, now)
-        finally:
-            node.queue.extend(legacy)
+        node.queue.extend(f for f in queued if self.is_carpool(f.destination))
+        transmission = super().build(node, now)
+        shipped = {id(f) for sf in transmission.subframes for f in sf.frames}
+        node.queue.clear()
+        node.queue.extend(f for f in queued if id(f) not in shipped)
         return transmission

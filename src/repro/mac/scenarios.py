@@ -4,6 +4,10 @@ Each scenario assembles the topology (two APs sharing one collision
 domain, N STAs per AP), the workload, and the trace-driven error model,
 and runs any of the five protocols over it — so every MAC benchmark and
 example drives the exact same machinery with only the protocol swapped.
+Both scenarios, and every deployment cell in :mod:`repro.net` (static
+ones through :meth:`CbrScenario.run`, roaming ones through
+:meth:`CbrScenario.run_arrivals`), simulate through one function,
+:func:`_simulate`.
 """
 
 from __future__ import annotations
@@ -70,6 +74,43 @@ def _ap_station_names(ap_index: int, count: int) -> list:
 
 def _ap_name(ap_index: int) -> str:
     return AP_NAME if ap_index == 0 else f"ap{ap_index}"
+
+
+def _simulate(scenario, protocol, arrivals, stations,
+              latency_bound: float) -> ScenarioResult:
+    """Run ``protocol`` over ``arrivals`` under ``scenario``'s settings."""
+    sim = WlanSimulator(
+        protocol,
+        num_stations=len(stations),
+        arrivals=arrivals,
+        params=scenario.params,
+        error_model=scenario.error_model,
+        rng=RngStream(scenario.seed).child("sim"),
+        num_aps=scenario.num_aps,
+        station_names=stations,
+        faults=scenario.fault_plan,
+        sequential_ack_recovery=scenario.sequential_ack_recovery,
+    )
+    summary = sim.run(scenario.duration)
+    return ScenarioResult(
+        protocol=protocol.name,
+        num_stations=scenario.num_stations,
+        measured_ap_goodput_bps=sim.metrics.goodput_of_source(AP_NAME, scenario.duration),
+        measured_ap_useful_goodput_bps=sim.metrics.goodput_of_source(
+            AP_NAME, scenario.duration, latency_bound=latency_bound
+        ),
+        total_downlink_goodput_bps=summary.downlink_goodput_bps,
+        downlink_mean_delay=summary.downlink_mean_delay,
+        downlink_p95_delay=summary.downlink_p95_delay,
+        collisions=summary.collisions,
+        transmissions=summary.transmissions,
+        retransmitted_subframes=summary.retransmitted_subframes,
+        dropped_frames=summary.dropped_frames,
+        channel_busy_fraction=summary.channel_busy_fraction,
+        delivered_bytes_by_destination=sim.metrics.delivered_bytes_by_destination(),
+        demotions=int(getattr(protocol, "demotions", 0)),
+        repromotions=int(getattr(protocol, "repromotions", 0)),
+    )
 
 
 @dataclass
@@ -142,39 +183,8 @@ class VoipScenario:
     def run(self, protocol_cls) -> ScenarioResult:
         """Run one protocol over this scenario."""
         arrivals, stations = self.build_arrivals()
-        protocol = protocol_cls(self.params, self.limits)
-        sim = WlanSimulator(
-            protocol,
-            num_stations=len(stations),
-            arrivals=arrivals,
-            params=self.params,
-            error_model=self.error_model,
-            rng=RngStream(self.seed).child("sim"),
-            num_aps=self.num_aps,
-            station_names=stations,
-            faults=self.fault_plan,
-            sequential_ack_recovery=self.sequential_ack_recovery,
-        )
-        summary = sim.run(self.duration)
-        return ScenarioResult(
-            protocol=protocol.name,
-            num_stations=self.num_stations,
-            measured_ap_goodput_bps=sim.metrics.goodput_of_source(AP_NAME, self.duration),
-            measured_ap_useful_goodput_bps=sim.metrics.goodput_of_source(
-                AP_NAME, self.duration, latency_bound=self.latency_bound
-            ),
-            total_downlink_goodput_bps=summary.downlink_goodput_bps,
-            downlink_mean_delay=summary.downlink_mean_delay,
-            downlink_p95_delay=summary.downlink_p95_delay,
-            collisions=summary.collisions,
-            transmissions=summary.transmissions,
-            retransmitted_subframes=summary.retransmitted_subframes,
-            dropped_frames=summary.dropped_frames,
-            channel_busy_fraction=summary.channel_busy_fraction,
-            delivered_bytes_by_destination=sim.metrics.delivered_bytes_by_destination(),
-            demotions=int(getattr(protocol, "demotions", 0)),
-            repromotions=int(getattr(protocol, "repromotions", 0)),
-        )
+        return _simulate(self, protocol_cls(self.params, self.limits),
+                         arrivals, stations, self.latency_bound)
 
 
 @dataclass
@@ -235,41 +245,18 @@ class CbrScenario:
 
     def run(self, protocol_cls) -> ScenarioResult:
         """Run one protocol over this scenario with the latency requirement as aggregation deadline."""
-        arrivals, stations = self.build_arrivals()
+        return self.run_arrivals(protocol_cls, *self.build_arrivals())
+
+    def run_arrivals(self, protocol_cls, arrivals, stations) -> ScenarioResult:
+        """Run one protocol over explicit ``arrivals`` to ``stations``.
+
+        Everything but the workload comes from this scenario: limits,
+        parameters, error model, faults and the simulator seed. A roaming
+        deployment cell runs its pre-routed arrivals through here.
+        """
         limits = AggregationLimits(
             max_frame_bytes=self.max_frame_bytes,
             max_latency=self.latency_requirement,
         )
-        protocol = protocol_cls(self.params, limits)
-        sim = WlanSimulator(
-            protocol,
-            num_stations=len(stations),
-            arrivals=arrivals,
-            params=self.params,
-            error_model=self.error_model,
-            rng=RngStream(self.seed).child("sim"),
-            num_aps=self.num_aps,
-            station_names=stations,
-            faults=self.fault_plan,
-            sequential_ack_recovery=self.sequential_ack_recovery,
-        )
-        summary = sim.run(self.duration)
-        return ScenarioResult(
-            protocol=protocol.name,
-            num_stations=self.num_stations,
-            measured_ap_goodput_bps=sim.metrics.goodput_of_source(AP_NAME, self.duration),
-            measured_ap_useful_goodput_bps=sim.metrics.goodput_of_source(
-                AP_NAME, self.duration, latency_bound=self.latency_requirement
-            ),
-            total_downlink_goodput_bps=summary.downlink_goodput_bps,
-            downlink_mean_delay=summary.downlink_mean_delay,
-            downlink_p95_delay=summary.downlink_p95_delay,
-            collisions=summary.collisions,
-            transmissions=summary.transmissions,
-            retransmitted_subframes=summary.retransmitted_subframes,
-            dropped_frames=summary.dropped_frames,
-            channel_busy_fraction=summary.channel_busy_fraction,
-            delivered_bytes_by_destination=sim.metrics.delivered_bytes_by_destination(),
-            demotions=int(getattr(protocol, "demotions", 0)),
-            repromotions=int(getattr(protocol, "repromotions", 0)),
-        )
+        return _simulate(self, protocol_cls(self.params, limits),
+                         arrivals, stations, self.latency_requirement)

@@ -24,7 +24,6 @@ from repro.net.deployment import (
     CellSpec,
     DeploymentConfig,
     DeploymentResult,
-    build_cell_specs,
     cell_seed,
     run_cell,
     simulate_deployment,
@@ -64,7 +63,6 @@ __all__ = [
     "RoamEvent",
     "StaSite",
     "build_association_timeline",
-    "build_cell_specs",
     "build_topology",
     "carrier_sense_range",
     "cell_seed",

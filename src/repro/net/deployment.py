@@ -35,10 +35,14 @@ every deployment-level number is bit-identical between the two modes.
 Determinism: a cell's result is a pure function of its spec, and every
 spec derives its seed from the deployment seed and the AP index — so the
 same config gives bit-identical results for any worker count, chunking,
-or shard count. A static (no-mobility) cell is executed *through*
+or shard count. Every cell is executed *through*
 :class:`repro.mac.scenarios.CbrScenario` with a derived seed
-(:func:`cell_seed`), which makes the degenerate one-AP, coupling-off
-deployment reproduce the existing single-cell machinery bit for bit.
+(:func:`cell_seed`): a static (no-mobility) cell builds its workload with
+:meth:`~repro.mac.scenarios.CbrScenario.run`, which makes the degenerate
+one-AP, coupling-off deployment reproduce the existing single-cell
+machinery bit for bit; a roaming cell replays its pre-routed arrivals
+with :meth:`~repro.mac.scenarios.CbrScenario.run_arrivals`, under the
+same limits, parameters, error model and simulator seed.
 """
 
 from __future__ import annotations
@@ -47,10 +51,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from repro.mac.engine import AP_NAME, WlanSimulator
-from repro.mac.parameters import DEFAULT_PARAMETERS
+from repro.mac.engine import AP_NAME
 from repro.mac.protocols import PROTOCOLS
-from repro.mac.protocols.base import AggregationLimits
 from repro.mac.protocols.carpool_mixed import CarpoolMixedProtocol
 from repro.mac.scenarios import CbrScenario
 from repro.faults.plan import FaultPlan
@@ -81,8 +83,6 @@ __all__ = [
     "cell_seed",
     "simulate_deployment",
 ]
-
-_MAX_FRAME_BYTES = 65535
 
 
 def cell_seed(root_seed: int, ap_index: int) -> int:
@@ -163,11 +163,12 @@ class DeploymentConfig:
 class CellSpec:
     """One cell as a self-contained, picklable unit of work.
 
-    ``static=True`` cells carry only a seed: the worker rebuilds the whole
-    workload through :class:`~repro.mac.scenarios.CbrScenario`, which is
-    what makes static deployments provably the existing single-cell
-    machinery. Roaming cells carry their explicit, pre-routed arrival
-    list (global station names) instead.
+    The worker runs every cell through one
+    :class:`~repro.mac.scenarios.CbrScenario`. ``static=True`` cells carry
+    only a seed: the scenario rebuilds the whole workload, which is what
+    makes static deployments provably the existing single-cell machinery.
+    Roaming cells carry their explicit, pre-routed arrival list (global
+    station names) instead, which the scenario replays.
     """
 
     ap_index: int
@@ -182,8 +183,9 @@ class CellSpec:
     n_stations: int
     static: bool = True
     arrivals: tuple = ()
-    station_names: tuple = ()
-    #: Static mode: ((local_name, global_name), ...) in station order.
+    #: ((cell_name, global_name), ...) in station order; its keys are the
+    #: cell's stations. Static cells use CbrScenario's local names
+    #: ``sta0..n-1``; roaming cells pair each global name with itself.
     name_map: tuple = ()
     #: Mixed networks: names (cell-local in static mode, global otherwise)
     #: of the members that negotiated Carpool; ``None`` = pure protocol.
@@ -298,8 +300,9 @@ def _idle_cell(spec: CellSpec) -> CellResult:
     )
 
 
-def _run_static_cell(spec: CellSpec) -> CellResult:
-    """Run a no-mobility cell *through* the existing CbrScenario."""
+def _run_cell(spec: CellSpec) -> CellResult:
+    """Run a cell *through* CbrScenario: static cells build their own
+    workload, roaming cells replay their pre-routed arrivals."""
     scenario = CbrScenario(
         num_stations=spec.n_stations,
         num_aps=1,
@@ -312,8 +315,13 @@ def _run_static_cell(spec: CellSpec) -> CellResult:
         background_intensity=spec.background_intensity,
         fault_plan=spec.fault_plan,
     )
-    result = scenario.run(_protocol_factory(spec))
     to_global = dict(spec.name_map)
+    if spec.static:
+        result = scenario.run(_protocol_factory(spec))
+    else:
+        result = scenario.run_arrivals(
+            _protocol_factory(spec), spec.arrivals, list(to_global)
+        )
     delivered = {
         to_global[name]: size
         for name, size in result.delivered_bytes_by_destination.items()
@@ -340,60 +348,13 @@ def _run_static_cell(spec: CellSpec) -> CellResult:
     )
 
 
-def _run_roaming_cell(spec: CellSpec) -> CellResult:
-    """Run a cell over its explicit, pre-routed arrival list."""
-    limits = AggregationLimits(
-        max_frame_bytes=_MAX_FRAME_BYTES,
-        max_latency=spec.latency_requirement,
-    )
-    protocol = _protocol_factory(spec)(DEFAULT_PARAMETERS, limits)
-    sim = WlanSimulator(
-        protocol,
-        num_stations=len(spec.station_names),
-        arrivals=list(spec.arrivals),
-        rng=RngStream(spec.seed).child("sim"),
-        num_aps=1,
-        station_names=list(spec.station_names),
-        faults=spec.fault_plan,
-    )
-    summary = sim.run(spec.duration)
-    delivered = {
-        name: size
-        for name, size in sim.metrics.delivered_bytes_by_destination().items()
-        if name != AP_NAME
-    }
-    return CellResult(
-        ap_index=spec.ap_index,
-        protocol=spec.protocol,
-        n_stations=len(spec.station_names),
-        goodput_bps=sim.metrics.goodput_of_source(AP_NAME, spec.duration),
-        useful_goodput_bps=sim.metrics.goodput_of_source(
-            AP_NAME, spec.duration, latency_bound=spec.latency_requirement
-        ),
-        mean_delay_s=summary.downlink_mean_delay,
-        p95_delay_s=summary.downlink_p95_delay,
-        collisions=summary.collisions,
-        transmissions=summary.transmissions,
-        retransmitted_subframes=summary.retransmitted_subframes,
-        dropped_frames=summary.dropped_frames,
-        channel_busy_fraction=summary.channel_busy_fraction,
-        busy_airtime_s=summary.channel_busy_fraction * spec.duration,
-        delivered_bytes_by_sta=delivered,
-        coupled=spec.fault_plan is not None,
-        demotions=int(getattr(protocol, "demotions", 0)),
-        repromotions=int(getattr(protocol, "repromotions", 0)),
-    )
-
-
 def run_cell(spec: CellSpec) -> CellResult:
     """Execute one cell spec (pure function of the spec)."""
     with metrics().timer("net.run_cell").time():
         if spec.n_stations == 0:
             result = _idle_cell(spec)
-        elif spec.static:
-            result = _run_static_cell(spec)
         else:
-            result = _run_roaming_cell(spec)
+            result = _run_cell(spec)
     rec = active_recorder()
     if rec is not None:
         rec.emit(
@@ -610,7 +571,8 @@ def _make_cell_spec(config: DeploymentConfig, plan: _DeploymentPlan,
     return CellSpec(
         n_stations=len(names), static=False,
         arrivals=tuple(plan.cell_arrivals.get(ap_index, ())),
-        station_names=names, carpool_stations=carpool, **common,
+        name_map=tuple((name, name) for name in names),
+        carpool_stations=carpool, **common,
     )
 
 
@@ -620,17 +582,6 @@ def _spec_source(config: DeploymentConfig, plan: _DeploymentPlan):
         return [_make_cell_spec(config, plan, plan.ap_order[i])
                 for i in range(start, stop)]
     return specs
-
-
-def build_cell_specs(config: DeploymentConfig) -> tuple:
-    """(specs, timeline, fault_plans) for a deployment config.
-
-    Exposed separately so tests can inspect the decomposition without
-    running the cells.
-    """
-    plan = _deployment_plan(config)
-    specs = _spec_source(config, plan)(0, len(plan.ap_order))
-    return specs, plan.timeline, plan.plans
 
 
 def _finalize(config: DeploymentConfig, agg,

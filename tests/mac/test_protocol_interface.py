@@ -223,11 +223,14 @@ def test_queries_are_pure(name, frames, wait, cw_steps, scale, backoff,
     assert vars(protocol) == policy_before
 
     transmission = protocol.build(ap, now)
-    shipped = [f for sf in transmission.subframes for f in sf.frames]
+    shipped = [(id(f), dataclasses.astuple(f))
+               for sf in transmission.subframes for f in sf.frames]
     assert shipped
-    queued = dict(node_before[0])
-    after = _node_state(ap)[0] + [(id(f), dataclasses.astuple(f))
-                                  for f in shipped]
-    assert sorted(after) == sorted(queued.items())  # popped, not changed
+    assert all(entry in node_before[0] for entry in shipped)  # popped, not changed
+    shipped_ids = {entry[0] for entry in shipped}
+    assert len(shipped_ids) == len(shipped)
+    # The unshipped frames stay queued, unchanged and in their order.
+    assert _node_state(ap)[0] == [entry for entry in node_before[0]
+                                  if entry[0] not in shipped_ids]
     assert (ap.cw, ap.cw_scale, ap.backoff_slots) == node_before[1:]
     assert vars(protocol) == policy_before

@@ -1,3 +1,7 @@
+"""The engine's event timeline, read from an in-memory trace recorder."""
+
+import pytest
+
 from repro.mac import (
     CarpoolProtocol,
     DEFAULT_PARAMETERS,
@@ -7,6 +11,7 @@ from repro.mac import (
 )
 from repro.mac.engine import AP_NAME
 from repro.mac.frames import Arrival, Direction
+from repro.obs.trace import TraceRecorder, active_recorder, set_recorder
 from repro.util.rng import RngStream
 
 
@@ -22,31 +27,51 @@ def _arrivals(n=40):
     return out
 
 
+@pytest.fixture
+def recorder():
+    rec = TraceRecorder(deterministic=True)
+    previous = set_recorder(rec)
+    try:
+        yield rec
+    finally:
+        set_recorder(previous)
+
+
+def _mac_events(rec):
+    return [e for e in rec.events if e["layer"] == "mac"]
+
+
+def _sim(protocol, n_stations, arrivals, seed):
+    return WlanSimulator(protocol, n_stations, arrivals,
+                         error_model=FixedFerModel(0.0), rng=RngStream(seed))
+
+
 class TestTimeline:
     def test_disabled_by_default(self):
-        sim = WlanSimulator(Dot11Protocol(DEFAULT_PARAMETERS), 3, _arrivals(),
-                            error_model=FixedFerModel(0.0), rng=RngStream(1))
-        sim.run(0.2)
-        assert sim.timeline is None
+        assert active_recorder() is None
+        plain = _sim(Dot11Protocol(DEFAULT_PARAMETERS), 3, _arrivals(), 1).run(0.2)
+        rec = TraceRecorder(deterministic=True)
+        previous = set_recorder(rec)
+        try:
+            traced = _sim(Dot11Protocol(DEFAULT_PARAMETERS), 3, _arrivals(), 1).run(0.2)
+        finally:
+            set_recorder(previous)
+        assert _mac_events(rec)
+        assert traced == plain  # recording observes, never steers
 
-    def test_records_arrivals_and_transmissions(self):
-        sim = WlanSimulator(Dot11Protocol(DEFAULT_PARAMETERS), 3, _arrivals(),
-                            error_model=FixedFerModel(0.0), rng=RngStream(1))
-        sim.enable_timeline()
-        sim.run(0.2)
-        kinds = {event for _, event, _, _ in sim.timeline}
+    def test_records_arrivals_and_transmissions(self, recorder):
+        _sim(Dot11Protocol(DEFAULT_PARAMETERS), 3, _arrivals(), 1).run(0.2)
+        kinds = {e["event"] for e in _mac_events(recorder)}
         assert "arrival" in kinds
         assert "transmit" in kinds
 
-    def test_times_monotone(self):
-        sim = WlanSimulator(CarpoolProtocol(DEFAULT_PARAMETERS), 3, _arrivals(),
-                            error_model=FixedFerModel(0.0), rng=RngStream(2))
-        sim.enable_timeline()
-        sim.run(0.2)
-        times = [t for t, _, _, _ in sim.timeline]
+    def test_times_monotone(self, recorder):
+        _sim(CarpoolProtocol(DEFAULT_PARAMETERS), 3, _arrivals(), 2).run(0.2)
+        times = [e["t"] for e in _mac_events(recorder)]
+        assert times
         assert times == sorted(times)
 
-    def test_collisions_logged_under_contention(self):
+    def test_collisions_logged_under_contention(self, recorder):
         arrivals = []
         for k in range(200):
             for i in range(4):
@@ -54,10 +79,7 @@ class TestTimeline:
                                         source=f"sta{i}", destination=AP_NAME,
                                         size_bytes=400,
                                         direction=Direction.UPLINK))
-        sim = WlanSimulator(Dot11Protocol(DEFAULT_PARAMETERS), 4, arrivals,
-                            error_model=FixedFerModel(0.0), rng=RngStream(3))
-        sim.enable_timeline()
-        summary = sim.run(0.3)
-        logged = sum(1 for _, event, _, _ in sim.timeline if event == "collision")
+        summary = _sim(Dot11Protocol(DEFAULT_PARAMETERS), 4, arrivals, 3).run(0.3)
+        logged = sum(1 for e in _mac_events(recorder) if e["event"] == "collision")
         assert logged == summary.collisions
         assert logged > 0

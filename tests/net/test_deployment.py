@@ -3,7 +3,6 @@ engine: a degenerate deployment must reproduce the existing machinery bit
 for bit, and results must be invariant to worker count and cache replay.
 """
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -16,12 +15,20 @@ from repro.net.deployment import (
     CellResult,
     DeploymentConfig,
     DeploymentResult,
-    build_cell_specs,
+    _deployment_plan,
+    _spec_source,
     cell_seed,
     run_cell,
     simulate_deployment,
 )
 from repro.runtime.cache import ResultCache
+
+
+def build_cell_specs(config):
+    """(specs, timeline, fault_plans): a config's cells, minted but not run."""
+    plan = _deployment_plan(config)
+    specs = _spec_source(config, plan)(0, len(plan.ap_order))
+    return specs, plan.timeline, plan.plans
 
 
 def _fast_config(**overrides):
