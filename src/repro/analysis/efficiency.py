@@ -7,16 +7,21 @@ and "MAC efficiency of Wi-Fi networks degrades rapidly". Carpool attacks
 exactly this: one set of overheads amortised over up to eight receivers.
 
 These closed forms compute the airtime budget of one channel access per
-scheme and the resulting efficiency (payload airtime / total airtime),
-matching the simulator's accounting.
+scheme and the resulting efficiency (payload airtime / total airtime).
+The frame and ACK-train terms come from :mod:`repro.mac.airtime`, as the
+simulator's do. When every payload fills whole OFDM symbols, the
+simulator's time per uncontended, collision-free exchange equals
+``budget.total - budget.contention`` (the simulator pays the contention
+term as idle time, not as busy airtime); otherwise the simulator rounds
+each subframe up to whole symbols and the budget does not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.ahdr import AHDR_SYMBOLS
-from repro.mac.airtime import ack_airtime
+from repro.mac.airtime import ack_train_airtime
 from repro.mac.parameters import PhyMacParameters
 
 __all__ = ["ExchangeBudget", "single_frame_exchange", "carpool_exchange", "mac_efficiency"]
@@ -55,7 +60,7 @@ def single_frame_exchange(payload_bytes: int, params: PhyMacParameters) -> Excha
         contention=params.difs + _mean_backoff(params),
         headers=params.plcp_header_time,
         payload=8 * payload_bytes / params.phy_rate_bps,
-        acks=params.sifs + ack_airtime(params),
+        acks=ack_train_airtime(1, params),
     )
 
 
@@ -77,7 +82,7 @@ def carpool_exchange(payload_bytes_per_receiver: int, num_receivers: int,
         contention=params.difs + _mean_backoff(params),
         headers=headers,
         payload=8 * payload_bytes_per_receiver * num_receivers / params.phy_rate_bps,
-        acks=num_receivers * (params.sifs + ack_airtime(params)),
+        acks=ack_train_airtime(num_receivers, params),
     )
 
 
@@ -91,20 +96,7 @@ def mac_efficiency(payload_bytes: int, phy_rate_bps: float,
     *per receiver*.
     """
     base = params or PhyMacParameters()
-    scaled = PhyMacParameters(
-        slot_time=base.slot_time,
-        sifs=base.sifs,
-        difs=base.difs,
-        cw_min=base.cw_min,
-        cw_max=base.cw_max,
-        plcp_header_time=base.plcp_header_time,
-        propagation_delay=base.propagation_delay,
-        phy_rate_bps=phy_rate_bps,
-        basic_rate_bps=base.basic_rate_bps,
-        ack_bytes=base.ack_bytes,
-        retry_limit=base.retry_limit,
-        symbol_duration=base.symbol_duration,
-    )
+    scaled = replace(base, phy_rate_bps=phy_rate_bps)
     if carpool_receivers is None:
         return single_frame_exchange(payload_bytes, scaled).efficiency
     return carpool_exchange(payload_bytes, carpool_receivers, scaled).efficiency

@@ -525,19 +525,15 @@ def _cmd_status(args) -> int:
 
 
 def _print_metrics_summary(snapshot: dict) -> None:
-    """The ``--metrics`` table: counters, gauges, and timers after a run."""
+    """The ``--metrics`` table: counters and timers after a run."""
     from repro.obs.report import timer_rows
 
     counters = snapshot.get("counters", {})
-    gauges = snapshot.get("gauges", {})
-    if counters or gauges:
+    if counters:
         print("\n--- metrics: counters ---")
-        names = sorted(counters) + sorted(gauges)
-        width = max(len(n) for n in names)
+        width = max(len(n) for n in counters)
         for name in sorted(counters):
             print(f"{name:<{width}}  {counters[name]:>12}")
-        for name in sorted(gauges):
-            print(f"{name:<{width}}  {gauges[name]['value']!r:>12}")
     rows = timer_rows(snapshot)
     if rows:
         print("\n--- metrics: timers (by total time) ---")

@@ -2,10 +2,8 @@
 
 from repro.mac.airtime import (
     ack_airtime,
-    aggregated_frame_airtime,
-    carpool_frame_airtime,
-    payload_airtime,
-    sequential_ack_airtime,
+    ack_train_airtime,
+    frame_airtime,
     single_frame_airtime,
 )
 from repro.mac.engine import AP_NAME, WlanSimulator
@@ -43,10 +41,8 @@ from repro.mac.protocols import (
 
 __all__ = [
     "ack_airtime",
-    "aggregated_frame_airtime",
-    "carpool_frame_airtime",
-    "payload_airtime",
-    "sequential_ack_airtime",
+    "ack_train_airtime",
+    "frame_airtime",
     "single_frame_airtime",
     "AP_NAME",
     "WlanSimulator",

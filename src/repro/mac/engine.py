@@ -12,7 +12,11 @@ busy periods — using standard slot-jumping DCF simulation:
 
 Frame-decoding outcomes come from the pluggable error model (trace-driven
 from this package's PHY); failed subframes are retransmitted with priority,
-frames exceeding the retry limit are dropped.
+frames exceeding the retry limit are dropped. Every duration the engine
+charges (frames, ACK trains, the RTS/CTS handshake) comes from
+:mod:`repro.mac.airtime`, and the channel's busy time is recorded in
+:class:`MetricsCollector`; the engine keeps no per-node radio ledger
+(§8's energy result is the analytic :mod:`repro.core.energy` model).
 
 The protocol is the APs' downlink policy only. STAs are the engine's: a
 STA contends exactly when it is backlogged and sends
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from copy import copy
 
-from repro.mac.airtime import ack_airtime, single_frame_airtime
+from repro.mac.airtime import cts_airtime, rts_airtime, rts_cts_overhead
 from repro.mac.error_model import DEFAULT_ERROR_MODEL
 from repro.mac.frames import Arrival, MacFrame
 from repro.mac.metrics import MetricsCollector, MetricsSummary
@@ -46,9 +50,6 @@ AP_NAME = "ap"
 _OBS_COUNTER_NAMES = ("transmissions", "collisions", "ahdr_miss",
                       "ahdr_false_match", "ack_lost", "ack_desync")
 _DISABLED_COUNTERS = {name: NULL_INSTRUMENT for name in _OBS_COUNTER_NAMES}
-
-_RTS_BYTES = 20
-_CTS_BYTES = 14
 
 
 class _BlockErrorDraws:
@@ -197,10 +198,6 @@ class WlanSimulator:
                 self._faults = faults
             else:
                 self._faults = MacFaultInjector(faults, rng.child("faults"))
-        # Per-node radio airtime for the §8 energy analysis.
-        self.airtime_by_node = {
-            name: {"tx": 0.0, "rx": 0.0} for name in self.nodes
-        }
         # Ambient obs hooks, looked up once per run() so disabled runs pay
         # a single None check per logged event.
         self._rec = None
@@ -378,7 +375,8 @@ class WlanSimulator:
     def _transmit(self, node: Node) -> None:
         transmission = self._build(node)
         protected = self.use_rts_cts and node.is_ap
-        overhead = self._rts_cts_overhead(len(transmission.subframes)) if protected else 0.0
+        overhead = (rts_cts_overhead(len(transmission.subframes), self.params)
+                    if protected else 0.0)
 
         # Injected hidden-terminal window: interference the carrier-sense
         # (and RTS/CTS) machinery cannot suppress destroys the whole
@@ -395,7 +393,7 @@ class WlanSimulator:
             if protected:
                 # Only the short RTS is vulnerable; a CTS sequence then
                 # silences the hidden nodes (§4.2, Fig. 7).
-                rts_time = single_frame_airtime(_RTS_BYTES, self.params)
+                rts_time = rts_airtime(self.params)
                 culprit = self._hidden_hit(interferers, rts_time)
                 busy = rts_time + self.params.difs
                 whole = False
@@ -408,14 +406,15 @@ class WlanSimulator:
             if culprit is not None:
                 self.hidden_collisions += 1
                 culprit.on_collision()
-                self._abort(node, transmission, busy, whole)
+                self._abort(node, transmission, busy, whole,
+                            event="hidden-collision")
                 return
 
         # Injected RTS/CTS failure: a lost CTS aborts the exchange after
         # the RTS + one CTS slot's worth of airtime.
         if protected and self._faults is not None and self._faults.cts_lost(self.now):
-            busy = (single_frame_airtime(_RTS_BYTES, self.params)
-                    + self.params.sifs + self._cts_airtime() + self.params.difs)
+            busy = (rts_airtime(self.params) + self.params.sifs
+                    + cts_airtime(self.params) + self.params.difs)
             self._abort(node, transmission, busy, whole=False,
                         event="fault-cts-loss")
             return
@@ -427,7 +426,6 @@ class WlanSimulator:
                   f"{len(transmission.subframes)} subframes, "
                   f"{transmission.total_payload_bytes} B")
         self._consecutive_failures[node.name] = 0
-        self._account_airtime(node, transmission, overhead)
 
         data_end = self.now + overhead + transmission.airtime
         decoded = self._error_draws.draw(transmission.subframes)
@@ -497,22 +495,15 @@ class WlanSimulator:
         return outcomes
 
     def _charge_false_matches(self, transmission, ahdr_spec) -> None:
-        """Bystanders that falsely match a corrupted A-HDR decode one
-        irrelevant subframe — pure receive-energy waste."""
+        """Count the bystanders that falsely match a corrupted A-HDR."""
         subframes = transmission.subframes
         if not subframes:
             return
         addressed = {sf.destination for sf in subframes}
-        # sum/len over integer symbol counts is exact (and much cheaper
-        # than np.mean on a short list).
-        mean_subframe = (
-            sum(sf.n_symbols for sf in subframes) / len(subframes)
-        ) * self.params.symbol_duration
         for name in self.stations:
             if name in addressed:
                 continue
             if self._faults.ahdr_false_match(ahdr_spec):
-                self.airtime_by_node[name]["rx"] += mean_subframe
                 self._obs_counters["ahdr_false_match"].inc()
                 if self._rec is not None:
                     self._rec.emit("mac", "ahdr_false_match",
@@ -556,65 +547,8 @@ class WlanSimulator:
                     slots_lost=len(acked) - first_gap - 1)
         return acked
 
-    def _account_airtime(self, node: Node, transmission, overhead: float) -> None:
-        """Charge per-node radio time for the §8 energy analysis.
-
-        The transmitter pays TX for the frame and RX for the ACK sequence.
-        Every addressed station receives from the frame start to the end
-        of its own subframe and transmits its ACK. Non-addressed stations
-        receive the PLCP header plus the protocol's overhear span (the
-        A-HDR for Carpool) and, with the A-HDR false-positive probability,
-        one irrelevant subframe.
-        """
-        t_sym = self.params.symbol_duration
-        plcp = self.params.plcp_header_time
-        self.airtime_by_node[node.name]["tx"] += overhead + transmission.airtime
-        self.airtime_by_node[node.name]["rx"] += transmission.ack_time
-
-        subframes = transmission.subframes
-        if not subframes:
-            return
-        last_symbol_by_dest: dict = {}
-        for sf in subframes:
-            end = sf.start_symbol + sf.n_symbols
-            last_symbol_by_dest[sf.destination] = max(
-                last_symbol_by_dest.get(sf.destination, 0), end
-            )
-        ack = ack_airtime(self.params)
-        for dest, end in last_symbol_by_dest.items():
-            if dest in self.airtime_by_node:
-                record = self.airtime_by_node[dest]
-                record["rx"] += plcp + end * t_sym
-                record["tx"] += ack
-
-        mean_subframe = (sum(sf.n_symbols for sf in subframes) / len(subframes)) * t_sym
-        overhear = (
-            plcp
-            + self.protocol.overhear_symbols * t_sym
-            + self.protocol.overhear_false_positive * mean_subframe
-        )
-        for name, other in self.stations.items():
-            if name not in last_symbol_by_dest and other is not node:
-                self.airtime_by_node[name]["rx"] += overhear
-
-    def energy_report(self, duration: float, power_model=None) -> dict:
-        """Per-node energy (joules) over ``duration`` under a power model.
-
-        Defaults to the WPC55AG model the paper uses; idle time is
-        whatever the node spent neither transmitting nor receiving.
-        """
-        if power_model is None:
-            from repro.core.energy import WPC55AG as power_model  # noqa: N811
-        report = {}
-        for name, record in self.airtime_by_node.items():
-            tx = min(record["tx"], duration)
-            rx = min(record["rx"], max(duration - tx, 0.0))
-            idle = max(duration - tx - rx, 0.0)
-            report[name] = power_model.energy(tx, rx, idle)
-        return report
-
     def _abort(self, node: Node, transmission, busy: float, whole: bool,
-               event: str | None = None) -> None:
+               event: str) -> None:
         """The exchange was destroyed: ``busy`` seconds of channel, no ACKs.
 
         ``whole=True`` means the data itself was lost: every subframe
@@ -623,8 +557,7 @@ class WlanSimulator:
         RTS/CTS handshake failed: the frames go back exactly as they were.
         Either way they return to the queue head.
         """
-        if event is not None:
-            self._log(event, node.name, f"busy={busy * 1e6:.0f}us")
+        self._log(event, node.name, f"busy={busy * 1e6:.0f}us")
         self.metrics.record_collision(busy)
         if whole:
             self.metrics.record_retransmission(len(transmission.subframes))
@@ -640,16 +573,6 @@ class WlanSimulator:
         node.requeue_front(frames)
         node.on_collision()
         self.now += busy
-
-    def _cts_airtime(self) -> float:
-        """One CTS at the basic rate."""
-        return self.params.plcp_header_time + 8 * _CTS_BYTES / self.params.basic_rate_bps
-
-    def _rts_cts_overhead(self, num_receivers: int) -> float:
-        """Multicast RTS followed by per-receiver CTSs (§4.2, Fig. 7)."""
-        rts = single_frame_airtime(_RTS_BYTES, self.params)
-        cts = self._cts_airtime()
-        return rts + max(1, num_receivers) * (self.params.sifs + cts) + self.params.sifs
 
     # Convenience ------------------------------------------------------------
 

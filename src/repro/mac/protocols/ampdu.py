@@ -13,7 +13,7 @@ stay short and every other STA's traffic waits for its own channel access
 
 from __future__ import annotations
 
-from repro.mac.airtime import ack_airtime
+from repro.mac.airtime import ack_train_airtime, frame_airtime
 from repro.mac.frames import MacFrame
 from repro.mac.node import Node
 from repro.mac.protocols.base import Protocol, SubframeTx, Transmission
@@ -66,10 +66,9 @@ class AmpduProtocol(Protocol):
                 )
             )
             cursor += n_symbols
-        airtime = self.params.plcp_header_time + cursor * self.params.symbol_duration
         return Transmission(
             node_name=node.name,
-            airtime=airtime,
-            ack_time=self.params.sifs + ack_airtime(self.params),
+            airtime=frame_airtime(cursor, self.params),
+            ack_time=ack_train_airtime(1, self.params),
             subframes=subframes,
         )

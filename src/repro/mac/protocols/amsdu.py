@@ -12,7 +12,7 @@ frames under standard channel estimation is fatal rather than partial.
 
 from __future__ import annotations
 
-from repro.mac.airtime import ack_airtime
+from repro.mac.airtime import ack_train_airtime, frame_airtime
 from repro.mac.frames import MacFrame
 from repro.mac.node import Node
 from repro.mac.protocols.base import Protocol, SubframeTx, Transmission
@@ -50,11 +50,10 @@ class AmsduProtocol(Protocol):
 
         # One subframe = one CRC: all frames live or die together.
         n_symbols = self.payload_symbols(total, destination)
-        airtime = self.params.plcp_header_time + n_symbols * self.params.symbol_duration
         return Transmission(
             node_name=node.name,
-            airtime=airtime,
-            ack_time=self.params.sifs + ack_airtime(self.params),
+            airtime=frame_airtime(n_symbols, self.params),
+            ack_time=ack_train_airtime(1, self.params),
             subframes=[
                 SubframeTx(
                     destination=destination,

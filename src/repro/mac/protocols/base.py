@@ -34,7 +34,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from repro.mac.airtime import ack_airtime
+from repro.mac.airtime import ack_train_airtime, frame_airtime
 from repro.mac.frames import MacFrame
 from repro.mac.node import Node
 from repro.mac.parameters import PhyMacParameters
@@ -100,12 +100,6 @@ class Protocol(ABC):
 
     name: str = "base"
     uses_rte: bool = False
-    #: OFDM symbols a non-addressed station must receive beyond the PLCP
-    #: header before it can drop the frame (Carpool: the 2-symbol A-HDR).
-    overhear_symbols: int = 0
-    #: Probability that a non-addressed station decodes one irrelevant
-    #: subframe anyway (Carpool: the A-HDR false-positive ratio, §8).
-    overhear_false_positive: float = 0.0
 
     def __init__(self, params: PhyMacParameters, limits: AggregationLimits | None = None,
                  rate_table=None):
@@ -163,11 +157,10 @@ class Protocol(ABC):
         """A plain 802.11 single-frame exchange: what every STA sends."""
         frame: MacFrame = node.queue.popleft()
         n_symbols = self.payload_symbols(frame.size_bytes, frame.destination)
-        airtime = self.params.plcp_header_time + n_symbols * self.params.symbol_duration
         return Transmission(
             node_name=node.name,
-            airtime=airtime,
-            ack_time=self.params.sifs + ack_airtime(self.params),
+            airtime=frame_airtime(n_symbols, self.params),
+            ack_time=ack_train_airtime(1, self.params),
             subframes=[
                 SubframeTx(
                     destination=frame.destination,

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bloom.coded import false_positive_ratio
-from repro.core.ahdr import AHDR_NUM_HASHES, AHDR_SYMBOLS, MAX_RECEIVERS
+from repro.core.ahdr import AHDR_SYMBOLS
 from repro.mac.protocols.multi_receiver import MultiReceiverProtocol
 
 __all__ = ["CarpoolProtocol"]
@@ -25,5 +24,3 @@ class CarpoolProtocol(MultiReceiverProtocol):
     header_symbols = AHDR_SYMBOLS
     subframe_header_symbols = 1  # each subframe's SIG
     subframe_header_bytes = 0
-    overhear_symbols = AHDR_SYMBOLS  # bystanders read the A-HDR, then drop
-    overhear_false_positive = false_positive_ratio(AHDR_NUM_HASHES, MAX_RECEIVERS)

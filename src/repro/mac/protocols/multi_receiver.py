@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.mac.airtime import ack_airtime
+from repro.mac.airtime import ack_train_airtime, frame_airtime
 from repro.mac.node import Node
 from repro.mac.protocols.base import AggregationLimits, Protocol, SubframeTx, Transmission
 
@@ -114,9 +114,9 @@ class MultiReceiverProtocol(Protocol):
                 )
             )
             cursor += n_symbols
-        airtime = self.params.plcp_header_time + cursor * self.params.symbol_duration
-        num_receivers = len(subframes)
-        ack_time = num_receivers * (self.params.sifs + ack_airtime(self.params))
         return Transmission(
-            node_name=ap.name, airtime=airtime, ack_time=ack_time, subframes=subframes
+            node_name=ap.name,
+            airtime=frame_airtime(cursor, self.params),
+            ack_time=ack_train_airtime(len(subframes), self.params),
+            subframes=subframes,
         )

@@ -12,7 +12,7 @@ Three pieces, all zero-dependency and disabled by default:
 
 plus the live-run layer grown for soak-scale service:
 
-* **telemetry** (:mod:`repro.obs.telemetry`) — append-only, mergeable
+* **telemetry** (:mod:`repro.obs.telemetry`) — append-only
   per-epoch samples with deterministic fields segregated from wall-clock
   ones, written beside the soak checkpoint,
 * **SLO watchdogs** (:mod:`repro.obs.slo`) — declarative threshold /
@@ -28,7 +28,6 @@ from .log import configure_logging, get_logger
 from .manifest import RunManifest, config_hash, git_sha, write_manifest
 from .slo import SloBreach, SloSpec, SloWatchdog, read_health, write_health
 from .telemetry import (
-    TelemetrySeries,
     append_telemetry_record,
     deterministic_view,
     deterministic_view_bytes,
@@ -42,8 +41,6 @@ from .metrics import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullInstrument,
     Timer,
@@ -69,8 +66,6 @@ from .trace import (
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "Timer",
     "MetricsRegistry",
     "NullInstrument",
@@ -100,7 +95,6 @@ __all__ = [
     "SloWatchdog",
     "write_health",
     "read_health",
-    "TelemetrySeries",
     "telemetry_paths",
     "make_record",
     "append_telemetry_record",

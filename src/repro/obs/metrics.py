@@ -1,13 +1,9 @@
 """Process-local, zero-dependency metrics registry.
 
-Four instrument kinds cover everything the stack reports:
+Two instrument kinds cover everything the stack reports:
 
 * :class:`Counter` — monotonically increasing event counts (cache hits,
   pool reuses, CRC passes).
-* :class:`Gauge` — last-written values (current pool size, demoted-set
-  size).
-* :class:`Histogram` — fixed-bucket-edge distributions (subframe sizes,
-  per-chunk trial counts).
 * :class:`Timer` — accumulated wall-time spans with count/min/max (the
   per-layer timer table ``repro report`` renders).
 
@@ -19,8 +15,8 @@ Design constraints, in priority order:
    branching on configuration.
 2. **Picklable and mergeable.** ``runtime.trials`` workers build their own
    registries; :meth:`MetricsRegistry.merge` (or ``merge_dict`` on the
-   ``to_dict`` form) reduces them into the parent's, summing counters,
-   histograms and timers. Instruments are plain-``__slots__`` objects, so
+   ``to_dict`` form) reduces them into the parent's, summing counters
+   and timers. Instruments are plain-``__slots__`` objects, so
    a registry round-trips through pickle and JSON.
 3. **Named scopes.** ``registry.scope("phy")`` returns a view whose
    instruments land in the same store under a ``phy.`` prefix, so a layer
@@ -30,12 +26,9 @@ Design constraints, in priority order:
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "Timer",
     "MetricsRegistry",
     "NullInstrument",
@@ -72,12 +65,6 @@ class NullInstrument:
     def inc(self, amount=1):
         pass
 
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
     def time(self):
         return _NULL_CONTEXT
 
@@ -106,83 +93,6 @@ class Counter:
     @classmethod
     def from_value(cls, value) -> "Counter":
         return cls(value)
-
-
-class Gauge:
-    """Last-written value (merge keeps the most recently written one)."""
-
-    __slots__ = ("value", "writes")
-    kind = "gauge"
-
-    def __init__(self, value=None, writes: int = 0):
-        self.value = value
-        self.writes = writes
-
-    def set(self, value) -> None:
-        self.value = value
-        self.writes += 1
-
-    def merge(self, other: "Gauge") -> None:
-        if other.writes:
-            self.value = other.value
-            self.writes += other.writes
-
-    def to_value(self):
-        return {"value": self.value, "writes": self.writes}
-
-    @classmethod
-    def from_value(cls, data) -> "Gauge":
-        return cls(data["value"], data["writes"])
-
-
-#: Log-spaced default edges: fine enough for latencies in seconds and
-#: sizes in bytes alike without per-call configuration.
-DEFAULT_EDGES = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0,
-    500.0, 1000.0,
-)
-
-
-class Histogram:
-    """Fixed-bucket-edge distribution; ``counts[i]`` holds values ≤ edge i,
-    with one overflow bucket at the end."""
-
-    __slots__ = ("edges", "counts", "count", "total")
-    kind = "histogram"
-
-    def __init__(self, edges=DEFAULT_EDGES, counts=None, count: int = 0,
-                 total: float = 0.0):
-        self.edges = tuple(edges)
-        self.counts = list(counts) if counts is not None else [0] * (len(self.edges) + 1)
-        self.count = count
-        self.total = total
-
-    def observe(self, value) -> None:
-        self.counts[bisect_right(self.edges, value)] += 1
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        if other.edges != self.edges:
-            raise ValueError(
-                f"cannot merge histograms with different edges: "
-                f"{self.edges} vs {other.edges}"
-            )
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        self.count += other.count
-        self.total += other.total
-
-    def to_value(self):
-        return {"edges": list(self.edges), "counts": list(self.counts),
-                "count": self.count, "total": self.total}
-
-    @classmethod
-    def from_value(cls, data) -> "Histogram":
-        return cls(data["edges"], data["counts"], data["count"], data["total"])
 
 
 class _TimerContext:
@@ -248,8 +158,7 @@ class Timer:
         return cls(data["count"], data["total"], min_s, data["max"])
 
 
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram,
-          "timer": Timer}
+_KINDS = {"counter": Counter, "timer": Timer}
 
 
 class MetricsRegistry:
@@ -267,10 +176,10 @@ class MetricsRegistry:
 
     # -- instrument accessors (get-or-create) --------------------------------
 
-    def _get(self, name: str, factory, *args):
+    def _get(self, name: str, factory):
         instrument = self._metrics.get(name)
         if instrument is None:
-            instrument = self._metrics[name] = factory(*args)
+            instrument = self._metrics[name] = factory()
         elif not isinstance(instrument, factory):
             raise TypeError(
                 f"metric {name!r} already registered as "
@@ -281,14 +190,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """Get or create the counter ``name``."""
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge ``name``."""
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str, edges=DEFAULT_EDGES) -> Histogram:
-        """Get or create the histogram ``name`` (edges fixed at creation)."""
-        return self._get(name, Histogram, edges)
 
     def timer(self, name: str) -> Timer:
         """Get or create the timer ``name``."""
@@ -312,8 +213,7 @@ class MetricsRegistry:
         return self._metrics.get(name)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (sums counters/histograms/
-        timers, keeps the freshest gauge writes)."""
+        """Fold ``other`` into this registry (sums counters and timers)."""
         for name, instrument in other._metrics.items():
             mine = self._metrics.get(name)
             if mine is None:
@@ -365,12 +265,6 @@ class _ScopedRegistry:
     def counter(self, name: str):
         return self._parent.counter(self._prefix + name)
 
-    def gauge(self, name: str):
-        return self._parent.gauge(self._prefix + name)
-
-    def histogram(self, name: str, edges=DEFAULT_EDGES):
-        return self._parent.histogram(self._prefix + name, edges)
-
     def timer(self, name: str):
         return self._parent.timer(self._prefix + name)
 
@@ -386,12 +280,6 @@ class NullRegistry:
     __slots__ = ()
 
     def counter(self, name: str):
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str, edges=DEFAULT_EDGES):
         return NULL_INSTRUMENT
 
     def timer(self, name: str):

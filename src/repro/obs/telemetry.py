@@ -1,4 +1,4 @@
-"""Append-only, mergeable per-epoch telemetry for soak-scale runs.
+"""Append-only per-epoch telemetry for soak-scale runs.
 
 ``telemetry.jsonl`` lives beside the soak checkpoint: one record per
 completed epoch, written with the same crash discipline as
@@ -20,10 +20,6 @@ Every record segregates its fields into two namespaces:
     wall seconds, frames per wall-second, parent RSS, pool/IPC counters,
     worker and shard counts. Legitimately different between runs;
     excluded from every identity gate.
-
-:class:`TelemetrySeries` makes the layer mergeable: series from disjoint
-shards of a run (any partition, any order) merge bit-identically to the
-single-shot series, mirroring the ``DeploymentAggregate`` fold contract.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ __all__ = [
     "TELEMETRY_SCHEMA",
     "TELEMETRY_FILE",
     "HEALTH_FILE",
-    "TelemetrySeries",
     "telemetry_paths",
     "make_record",
     "append_telemetry_record",
@@ -155,56 +150,3 @@ def deterministic_view_bytes(directory) -> bytes:
     lines = [json.dumps(entry, sort_keys=True)
              for entry in deterministic_view(read_telemetry_records(directory))]
     return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-class TelemetrySeries:
-    """An in-memory, mergeable slice of a run's telemetry.
-
-    Merging series from disjoint epoch ranges — any partition of the
-    run, folded in any order — yields the same sorted record list as
-    reading the single-shot file, bit for bit. Duplicate epochs are an
-    error: two shards claiming the same epoch means the partition was
-    not a partition.
-    """
-
-    def __init__(self, records: Optional[Iterable[dict]] = None):
-        self.records: list = []
-        self._epochs: set = set()
-        if records is not None:
-            for record in records:
-                self.append(record)
-
-    def append(self, record: dict) -> None:
-        epoch = record["epoch"]
-        if epoch in self._epochs:
-            raise ValueError(f"duplicate telemetry record for epoch {epoch}")
-        self._epochs.add(epoch)
-        self.records.append(record)
-        # Keep sorted: appends are in-order in the service loop, so this
-        # is O(1) there; merges re-sort below.
-        if len(self.records) > 1 and self.records[-2]["epoch"] > epoch:
-            self.records.sort(key=lambda r: r["epoch"])
-
-    def merge(self, other: "TelemetrySeries") -> "TelemetrySeries":
-        """Fold ``other`` in (disjoint epochs required); returns self."""
-        for record in other.records:
-            self.append(record)
-        return self
-
-    @classmethod
-    def from_directory(cls, directory) -> "TelemetrySeries":
-        return cls(read_telemetry_records(directory))
-
-    def deterministic_view(self) -> list:
-        return deterministic_view(self.records)
-
-    def det_bytes(self) -> bytes:
-        lines = [json.dumps(entry, sort_keys=True)
-                 for entry in self.deterministic_view()]
-        return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-    def tail(self, n: int) -> list:
-        return self.records[-n:]
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -5,7 +5,17 @@ from repro.analysis.efficiency import (
     mac_efficiency,
     single_frame_exchange,
 )
+from repro.mac import (
+    AggregationLimits,
+    CarpoolProtocol,
+    Dot11Protocol,
+    FixedFerModel,
+    WlanSimulator,
+)
+from repro.mac.engine import AP_NAME
+from repro.mac.frames import Arrival
 from repro.mac.parameters import DEFAULT_PARAMETERS
+from repro.util.rng import RngStream
 
 
 class TestBudgets:
@@ -62,3 +72,44 @@ class TestCarpoolAmortisation:
             for rate in (54e6, 600e6)
         ]
         assert gains[1] > gains[0] > 1.0
+
+
+#: 650 B fill exactly 20 OFDM symbols at 65 Mbit/s (260 bits per symbol).
+_WHOLE_SYMBOL_BYTES = 650
+
+
+def _engine_time_per_exchange(protocol, n_receivers, n_exchanges=20, spacing=3e-3):
+    """Busy seconds per exchange of one AP serving ``n_receivers`` at a time.
+
+    Each round's frames arrive together, ``spacing`` apart — longer than
+    an 8-receiver exchange plus its contention — so no queue builds and
+    every exchange carries exactly one 650 B frame per receiver.
+    """
+    arrivals = [
+        Arrival(time=spacing * (k + 1), source=AP_NAME, destination=f"sta{i}",
+                size_bytes=_WHOLE_SYMBOL_BYTES)
+        for k in range(n_exchanges) for i in range(n_receivers)
+    ]
+    sim = WlanSimulator(protocol, n_receivers, arrivals,
+                        error_model=FixedFerModel(0.0), rng=RngStream(7))
+    summary = sim.run(spacing * (n_exchanges + 1))
+    assert summary.collisions == 0
+    assert sim.metrics.transmissions == n_exchanges
+    return sim.metrics.busy_time / sim.metrics.transmissions
+
+
+class TestEngineAgreement:
+    """With one sender and no collisions, the simulator's busy time per
+    exchange is the analytic budget without its contention term."""
+
+    def test_dot11(self):
+        budget = single_frame_exchange(_WHOLE_SYMBOL_BYTES, DEFAULT_PARAMETERS)
+        measured = _engine_time_per_exchange(Dot11Protocol(DEFAULT_PARAMETERS), 1)
+        assert measured == pytest.approx(budget.total - budget.contention, rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_carpool(self, n):
+        budget = carpool_exchange(_WHOLE_SYMBOL_BYTES, n, DEFAULT_PARAMETERS)
+        protocol = CarpoolProtocol(DEFAULT_PARAMETERS, AggregationLimits(max_receivers=n))
+        measured = _engine_time_per_exchange(protocol, n)
+        assert measured == pytest.approx(budget.total - budget.contention, rel=1e-12)

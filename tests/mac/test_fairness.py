@@ -1,8 +1,8 @@
 import pytest
 
-from repro.mac.engine import WlanSimulator
+from repro.mac.engine import _BlockErrorDraws
 from repro.mac.fairness import FairCarpoolProtocol, TimeOccupancyTable
-from repro.mac.frames import MacFrame
+from repro.mac.frames import Direction, MacFrame
 from repro.mac.node import Node
 from repro.mac.parameters import DEFAULT_PARAMETERS
 from repro.mac.protocols.base import AggregationLimits
@@ -102,18 +102,20 @@ class TestFairCarpool:
 def test_table_charges_only_exchanges_that_were_sent(monkeypatch):
     """Collided aggregates are sized by a trial ``build`` and never sent:
     the table holds exactly the airtime of the AP exchanges that were."""
+    # The error draw runs once per sent exchange, after every abort path;
+    # AP exchanges are the ones carrying downlink frames.
     sent: dict = {}
-    account = WlanSimulator._account_airtime
+    draw = _BlockErrorDraws.draw
 
-    def record(sim, node, transmission, overhead):
-        if node.is_ap:
-            for subframe in transmission.subframes:
+    def record(draws, subframes):
+        if subframes[0].frames[0].direction == Direction.DOWNLINK:
+            for subframe in subframes:
                 sent[subframe.destination] = (
                     sent.get(subframe.destination, 0.0)
-                    + subframe.n_symbols * sim.params.symbol_duration)
-        account(sim, node, transmission, overhead)
+                    + subframe.n_symbols * DEFAULT_PARAMETERS.symbol_duration)
+        return draw(draws, subframes)
 
-    monkeypatch.setattr(WlanSimulator, "_account_airtime", record)
+    monkeypatch.setattr(_BlockErrorDraws, "draw", record)
     protocols = []
 
     def factory(params, limits):

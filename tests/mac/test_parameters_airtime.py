@@ -1,11 +1,10 @@
 import pytest
 
+from repro.core.ahdr import AHDR_SYMBOLS
 from repro.mac.airtime import (
     ack_airtime,
-    aggregated_frame_airtime,
-    carpool_frame_airtime,
-    payload_airtime,
-    sequential_ack_airtime,
+    ack_train_airtime,
+    frame_airtime,
     single_frame_airtime,
 )
 from repro.mac.parameters import DEFAULT_PARAMETERS, PhyMacParameters
@@ -43,12 +42,13 @@ class TestParameters:
 class TestAirtime:
     def test_payload_scales_with_rate(self):
         p = DEFAULT_PARAMETERS
-        assert payload_airtime(1500, p) == pytest.approx(1500 * 8 / p.phy_rate_bps)
+        assert single_frame_airtime(1500, p) - p.plcp_header_time \
+            == pytest.approx(1500 * 8 / p.phy_rate_bps)
 
     def test_single_frame_includes_plcp(self):
         p = DEFAULT_PARAMETERS
         assert single_frame_airtime(100, p) == pytest.approx(
-            p.plcp_header_time + payload_airtime(100, p)
+            p.plcp_header_time + 100 * 8 / p.phy_rate_bps
         )
 
     def test_ack_at_basic_rate(self):
@@ -60,35 +60,31 @@ class TestAirtime:
         10 OFDM symbols over the bare aggregate — tens of µs, not the
         59 µs-per-8-addresses of explicit PHY-header addressing (§3)."""
         p = DEFAULT_PARAMETERS
-        sizes = [1500] * 8
-        carpool = carpool_frame_airtime(sizes, p)
-        bare = aggregated_frame_airtime(sum(sizes), p)
+        payload = 8 * 20  # eight 650 B subframes, 20 whole symbols each
+        carpool = frame_airtime(AHDR_SYMBOLS + 8 + payload, p)
+        bare = frame_airtime(payload, p)
         overhead = carpool - bare
         assert overhead == pytest.approx(10 * p.symbol_duration)
         assert overhead < 59e-6
 
     def test_sequential_ack_linear_in_receivers(self):
         p = DEFAULT_PARAMETERS
-        one = sequential_ack_airtime(1, p)
-        eight = sequential_ack_airtime(8, p)
+        one = ack_train_airtime(1, p)
+        eight = ack_train_airtime(8, p)
+        assert one == p.sifs + ack_airtime(p)
         assert eight == pytest.approx(8 * one)
-
-    def test_carpool_empty_rejected(self):
-        with pytest.raises(ValueError):
-            carpool_frame_airtime([], DEFAULT_PARAMETERS)
 
     def test_negative_payload_rejected(self):
         with pytest.raises(ValueError):
-            payload_airtime(-1, DEFAULT_PARAMETERS)
+            single_frame_airtime(-1, DEFAULT_PARAMETERS)
 
     def test_carpool_beats_per_frame_transmissions(self):
         """One Carpool frame for 8 STAs costs far less air than 8 separate
         exchanges — the contention-reduction argument of §2."""
         p = DEFAULT_PARAMETERS
-        sizes = [300] * 8
-        carpool = carpool_frame_airtime(sizes, p) + sequential_ack_airtime(8, p)
-        separate = sum(
-            single_frame_airtime(s, p) + p.sifs + ack_airtime(p) + p.difs for s in sizes
-        )
+        n_symbols = 10  # 325 B per receiver: whole symbols at 65 Mbit/s
+        carpool = (frame_airtime(AHDR_SYMBOLS + 8 * (1 + n_symbols), p)
+                   + ack_train_airtime(8, p))
+        separate = 8 * (frame_airtime(n_symbols, p) + ack_train_airtime(1, p) + p.difs)
         # ~30 % less air even before counting the 8× fewer backoffs.
         assert carpool < 0.75 * separate

@@ -95,24 +95,26 @@ def test_stas_send_single_legacy_frames(name):
                                 destination=_STATIONS[i % 4], size_bytes=200))
     sim = WlanSimulator(_make(name), 4, sorted(arrivals, key=lambda a: a.time),
                         rng=RngStream(5))
+    # The error draw runs once per sent exchange, after every abort path.
+    # Only sta0 sends uplink, so an exchange addressed to the AP is sta0's.
     sent = []
-    account = sim._account_airtime
+    draw = sim._error_draws.draw
 
-    def record(node, transmission, overhead):
-        sent.append((node.name, transmission))
-        account(node, transmission, overhead)
+    def record(subframes):
+        sent.append(subframes)
+        return draw(subframes)
 
-    sim._account_airtime = record
+    sim._error_draws.draw = record
     sim.run(0.05)
-    from_sta = [tx for node, tx in sent if node == "sta0"]
+    from_sta = [sfs for sfs in sent if sfs[0].destination == AP_NAME]
     assert len(from_sta) >= 20
-    for tx in from_sta:
-        assert len(tx.subframes) == 1
-        assert len(tx.subframes[0].frames) == 1
-        assert not tx.subframes[0].rte
+    for subframes in from_sta:
+        assert len(subframes) == 1
+        assert len(subframes[0].frames) == 1
+        assert not subframes[0].rte
     if name not in ("802.11", "WiFox"):
-        assert any(len(tx.subframes[0].frames) > 1 or len(tx.subframes) > 1
-                   for node, tx in sent if node == AP_NAME)
+        assert any(len(sfs[0].frames) > 1 or len(sfs) > 1
+                   for sfs in sent if sfs[0].destination != AP_NAME)
 
 
 class _Recording(_HalfLegacy):

@@ -11,6 +11,7 @@ from repro.mac import (
 )
 from repro.mac.engine import AP_NAME
 from repro.mac.frames import Arrival, Direction
+from repro.mac.scenarios import CbrScenario
 from repro.obs.trace import TraceRecorder, active_recorder, set_recorder
 from repro.util.rng import RngStream
 
@@ -39,6 +40,15 @@ def recorder():
 
 def _mac_events(rec):
     return [e for e in rec.events if e["layer"] == "mac"]
+
+
+#: Every trace event that marks a destroyed exchange, one per collision.
+_COLLISION_EVENTS = ("collision", "hidden-collision", "fault-hidden",
+                     "fault-cts-loss")
+
+
+def _logged_collisions(rec):
+    return sum(1 for e in _mac_events(rec) if e["event"] in _COLLISION_EVENTS)
 
 
 def _sim(protocol, n_stations, arrivals, seed):
@@ -80,6 +90,20 @@ class TestTimeline:
                                         size_bytes=400,
                                         direction=Direction.UPLINK))
         summary = _sim(Dot11Protocol(DEFAULT_PARAMETERS), 4, arrivals, 3).run(0.3)
-        logged = sum(1 for e in _mac_events(recorder) if e["event"] == "collision")
-        assert logged == summary.collisions
-        assert logged > 0
+        assert _logged_collisions(recorder) == summary.collisions > 0
+
+    @pytest.mark.parametrize("use_rts_cts", [False, True], ids=["plain", "rts-cts"])
+    def test_hidden_collisions_logged(self, recorder, use_rts_cts):
+        """A hidden-terminal hit is a collision, so it leaves an event too."""
+        arrivals, stations = CbrScenario(
+            num_stations=3, num_aps=1, duration=0.3, seed=1).build_arrivals()
+        sim = WlanSimulator(CarpoolProtocol(DEFAULT_PARAMETERS), 3, arrivals,
+                            error_model=FixedFerModel(0.0), rng=RngStream(1),
+                            station_names=stations,
+                            hidden_pairs={(AP_NAME, "sta2")},
+                            use_rts_cts=use_rts_cts)
+        summary = sim.run(0.3)
+        assert _logged_collisions(recorder) == summary.collisions > 0
+        hidden = sum(1 for e in _mac_events(recorder)
+                     if e["event"] == "hidden-collision")
+        assert hidden == sim.hidden_collisions > 0

@@ -8,8 +8,6 @@ from repro.obs.metrics import (
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     Timer,
 )
@@ -24,44 +22,6 @@ class TestInstruments:
         other = Counter(2)
         c.merge(other)
         assert c.value == 7
-
-    def test_gauge_keeps_last_write(self):
-        g = Gauge()
-        g.set(3)
-        g.set(9)
-        assert g.value == 9 and g.writes == 2
-
-    def test_gauge_merge_prefers_written(self):
-        g = Gauge()
-        g.set(1)
-        g.merge(Gauge())  # unwritten: must not clobber
-        assert g.value == 1
-        fresh = Gauge()
-        fresh.set(5)
-        g.merge(fresh)
-        assert g.value == 5 and g.writes == 2
-
-    def test_histogram_buckets_and_mean(self):
-        h = Histogram(edges=(1.0, 10.0))
-        for v in (0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.counts == [1, 1, 1]  # <=1, <=10, overflow
-        assert h.count == 3
-        assert h.mean == pytest.approx((0.5 + 5.0 + 50.0) / 3)
-
-    def test_histogram_merge_requires_same_edges(self):
-        a = Histogram(edges=(1.0,))
-        b = Histogram(edges=(2.0,))
-        with pytest.raises(ValueError, match="different edges"):
-            a.merge(b)
-
-    def test_histogram_merge_sums(self):
-        a = Histogram(edges=(1.0,))
-        b = Histogram(edges=(1.0,))
-        a.observe(0.5)
-        b.observe(2.0)
-        a.merge(b)
-        assert a.counts == [1, 1] and a.count == 2
 
     def test_timer_records_spans(self):
         t = Timer()
@@ -126,15 +86,13 @@ class TestRegistry:
     def test_merge_kind_conflict_raises(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("x")
-        b.gauge("x").set(1)
+        b.timer("x").observe(1.0)
         with pytest.raises(TypeError, match="cannot merge"):
             a.merge(b)
 
     def test_dict_round_trip(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(3)
-        reg.gauge("g").set("pool-4")
-        reg.histogram("h", edges=(1.0,)).observe(0.2)
         reg.timer("t").observe(0.25)
         restored = MetricsRegistry.from_dict(reg.to_dict())
         assert restored.to_dict() == reg.to_dict()
@@ -157,8 +115,6 @@ class TestRegistry:
 class TestNullFastPath:
     def test_null_registry_hands_out_shared_noop(self):
         assert NULL_REGISTRY.counter("x") is NULL_INSTRUMENT
-        assert NULL_REGISTRY.gauge("x") is NULL_INSTRUMENT
-        assert NULL_REGISTRY.histogram("x") is NULL_INSTRUMENT
         assert NULL_REGISTRY.timer("x") is NULL_INSTRUMENT
         assert NULL_REGISTRY.scope("phy") is NULL_REGISTRY
         assert len(NULL_REGISTRY) == 0
@@ -167,8 +123,6 @@ class TestNullFastPath:
     def test_null_instrument_is_inert(self):
         NULL_INSTRUMENT.inc()
         NULL_INSTRUMENT.inc(5)
-        NULL_INSTRUMENT.set(3)
-        NULL_INSTRUMENT.observe(1.0)
         with NULL_INSTRUMENT.time():
             pass
 

@@ -1,11 +1,7 @@
-"""The telemetry stream's contracts: segregation, merge, crash tails.
+"""The telemetry stream's contracts: segregation, crash tails.
 
 * ``det``/``wall`` segregation — the deterministic view carries only
   the epoch key and the ``det`` namespace, canonically serialised.
-* :class:`TelemetrySeries` merge — any partition of a run's records,
-  folded in any order, reproduces the single-shot series bit for bit
-  (the hypothesis property below mirrors the ``DeploymentAggregate``
-  sharding-plan test).
 * Crash discipline — a truncated final line (what a hard kill leaves
   mid-append) is tolerated by readers and trimmed on resume; malformed
   lines anywhere else are corruption and raise.
@@ -16,12 +12,9 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs.telemetry import (
     TELEMETRY_SCHEMA,
-    TelemetrySeries,
     append_telemetry_record,
     deterministic_view,
     deterministic_view_bytes,
@@ -119,52 +112,6 @@ class TestAppendReadTrim:
 
     def test_trim_missing_file_is_noop(self, tmp_path):
         assert trim_telemetry_records(tmp_path, 0) == 0
-
-
-class TestSeriesMerge:
-    def test_duplicate_epoch_rejected(self):
-        series = TelemetrySeries([_record(0)])
-        with pytest.raises(ValueError, match="duplicate"):
-            series.append(_record(0))
-
-    def test_out_of_order_appends_sort(self):
-        series = TelemetrySeries([_record(2), _record(0), _record(1)])
-        assert [r["epoch"] for r in series.records] == [0, 1, 2]
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 12))
-    def test_any_partition_any_order_merges_identically(self, data, n):
-        """Shard the run arbitrarily, permute the shards, fold — the
-        result must be bit-identical to the single-shot series."""
-        records = [_record(e, goodput=1e5 * (e + 1)) for e in range(n)]
-        single = TelemetrySeries(records)
-
-        # Partition the epochs into contiguous-free arbitrary buckets.
-        n_shards = data.draw(st.integers(1, n), label="n_shards")
-        assignment = data.draw(
-            st.lists(st.integers(0, n_shards - 1), min_size=n, max_size=n),
-            label="assignment")
-        shards = [[] for _ in range(n_shards)]
-        for record, shard in zip(records, assignment):
-            shards[shard].append(record)
-        order = data.draw(st.permutations(range(n_shards)), label="order")
-
-        merged = TelemetrySeries()
-        for index in order:
-            merged.merge(TelemetrySeries(shards[index]))
-        assert merged.records == single.records
-        assert merged.det_bytes() == single.det_bytes()
-
-    def test_from_directory_matches_reader(self, tmp_path):
-        for epoch in range(3):
-            append_telemetry_record(tmp_path, _record(epoch))
-        series = TelemetrySeries.from_directory(tmp_path)
-        assert len(series) == 3
-        assert series.det_bytes() == deterministic_view_bytes(tmp_path)
-
-    def test_tail(self):
-        series = TelemetrySeries([_record(e) for e in range(5)])
-        assert [r["epoch"] for r in series.tail(2)] == [3, 4]
 
 
 class TestFaultOccupancy:
