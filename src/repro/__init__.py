@@ -9,7 +9,7 @@ traffic models.
 
 Packages:
     repro.core     — Carpool itself: A-HDR, side channel, RTE, sequential
-                     ACK, aggregation policy, energy model.
+                     ACK, energy model.
     repro.phy      — OFDM PHY: modulation, coding, interleaving, preamble,
                      SIG, pilots, channel estimation, CFO, transceivers.
     repro.channel  — fading/AWGN/CFO/SFO link models, power calibration.

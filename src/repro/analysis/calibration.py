@@ -24,7 +24,6 @@ import numpy as np
 from repro.analysis.phy_experiments import LinkConfig, ber_by_symbol_index
 from repro.mac.error_model import BerCurveErrorModel, fit_ber_curve
 from repro.obs.log import get_logger
-from repro.obs.trace import metrics
 from repro.runtime.cache import ResultCache, code_fingerprint, content_key
 
 log = get_logger(__name__)
@@ -118,18 +117,17 @@ def calibrate_error_model(
             return BerCurveErrorModel(**stored)
     log.info("calibrating error model: %s, %d B, %d trials (cache miss)",
              mcs_name, payload_bytes, trials)
-    with metrics().timer("analysis.calibrate").time():
-        standard = ber_by_symbol_index(
-            mcs_name, payload_bytes, trials, use_rte=False, link=link,
-            n_workers=n_workers,
-        )
-        rte = ber_by_symbol_index(
-            mcs_name, payload_bytes, trials, use_rte=True, link=link,
-            n_workers=n_workers,
-        )
-        std_fail = symbol_failure_from_ber(standard.ber_per_symbol, coding_gain)
-        rte_fail = symbol_failure_from_ber(rte.ber_per_symbol, coding_gain)
-        model = fit_ber_curve(std_fail, rte_fail)
+    standard = ber_by_symbol_index(
+        mcs_name, payload_bytes, trials, use_rte=False, link=link,
+        n_workers=n_workers,
+    )
+    rte = ber_by_symbol_index(
+        mcs_name, payload_bytes, trials, use_rte=True, link=link,
+        n_workers=n_workers,
+    )
+    std_fail = symbol_failure_from_ber(standard.ber_per_symbol, coding_gain)
+    rte_fail = symbol_failure_from_ber(rte.ber_per_symbol, coding_gain)
+    model = fit_ber_curve(std_fail, rte_fail)
     if use_cache:
         _CACHE.put(key, dataclasses.asdict(model))
     return model

@@ -11,10 +11,10 @@ knobs exposed for quick exploration.
 
 Observability: the experiment subcommands accept ``--trace PATH`` (write
 a structured JSONL event trace plus a ``.manifest.json`` provenance
-record) and ``--metrics`` (print the merged counter/timer table after
-the run); ``repro report PATH`` renders a trace into per-layer summary
-tables, and the global ``--log-level`` flag turns on the library's
-otherwise-silent ``repro`` logger.
+record) and ``--metrics`` (print the runtime's pool and IPC counters
+after the run); ``repro report PATH`` renders a trace into per-layer
+summary tables, and the global ``--log-level`` flag turns on the
+library's otherwise-silent ``repro`` logger.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def _add_obs_flags(sub) -> None:
                      help="with --trace: also record every N-th per-symbol "
                           "PHY snapshot (EVM, estimate, CRC); default: none")
     sub.add_argument("--metrics", action="store_true",
-                     help="collect counters/timers across the run and print "
-                          "the merged table afterwards")
+                     help="count worker-pool starts, reuses and result IPC "
+                          "bytes across the run and print them afterwards")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(or, given a soak checkpoint directory, its status)")
     report.add_argument("path", help="trace file written by --trace, or a "
                                      "soak checkpoint directory")
-    report.add_argument("--top", type=_positive_int, default=15,
-                        help="timer-table rows (default: 15)")
     report.add_argument("--timeline", type=_positive_int, default=60,
                         help="fault-timeline rows (default: 60)")
     return parser
@@ -468,8 +466,7 @@ def _cmd_report(args) -> int:
             return 2
         return 0
     try:
-        print(format_report(args.path, top=args.top,
-                            timeline_limit=args.timeline), end="")
+        print(format_report(args.path, timeline_limit=args.timeline), end="")
     except FileNotFoundError as exc:
         print(f"trace file not found: {exc}", file=sys.stderr)
         return 2
@@ -525,22 +522,12 @@ def _cmd_status(args) -> int:
 
 
 def _print_metrics_summary(snapshot: dict) -> None:
-    """The ``--metrics`` table: counters and timers after a run."""
-    from repro.obs.report import timer_rows
-
-    counters = snapshot.get("counters", {})
-    if counters:
-        print("\n--- metrics: counters ---")
-        width = max(len(n) for n in counters)
-        for name in sorted(counters):
-            print(f"{name:<{width}}  {counters[name]:>12}")
-    rows = timer_rows(snapshot)
-    if rows:
-        print("\n--- metrics: timers (by total time) ---")
-        width = max(len(name) for name, *_ in rows)
-        print(f"{'timer':<{width}}  {'count':>8}  {'total':>10}  {'mean':>10}")
-        for name, count, total, mean, _max_s in rows:
-            print(f"{name:<{width}}  {count:>8}  {total:>9.4f}s  {mean:>9.6f}s")
+    """The ``--metrics`` table: the runtime counters after a run."""
+    counters = snapshot["counters"]
+    print("\n--- metrics: counters ---")
+    width = max(len(n) for n in counters)
+    for name in sorted(counters):
+        print(f"{name:<{width}}  {counters[name]:>12}")
 
 
 def _dispatch(args) -> int:

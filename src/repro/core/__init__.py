@@ -2,15 +2,11 @@
 
 Multi-receiver PHY frame aggregation (A-HDR Bloom-filter header), the
 phase-offset side channel with per-symbol CRC, real-time channel estimation
-(RTE), sequential ACK, the AP aggregation policy and the energy model.
+(RTE), sequential ACK and the energy model. The AP's batch-selection
+rule runs in the MAC
+(:func:`repro.mac.protocols.multi_receiver.select_multi_receiver_batch`).
 """
 
-from repro.core.aggregation import (
-    AggregationBatch,
-    AggregationPolicy,
-    AggregationQueue,
-    QueuedFrame,
-)
 from repro.core.ahdr import (
     AHDR_BITS,
     AHDR_NUM_HASHES,
@@ -69,10 +65,6 @@ from repro.core.transport import CarpoolLink, DeliveryReport, StationEndpoint
 from repro.core.symbol_crc import DEFAULT_CRC_CONFIG, SymbolCrcConfig, crc_checksum_bits
 
 __all__ = [
-    "AggregationBatch",
-    "AggregationPolicy",
-    "AggregationQueue",
-    "QueuedFrame",
     "AHDR_BITS",
     "AHDR_NUM_HASHES",
     "AHDR_SYMBOLS",

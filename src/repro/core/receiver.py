@@ -30,7 +30,7 @@ from repro.core.frame import AHDR_SYMBOL_OFFSET
 from repro.core.mac_address import MacAddress
 from repro.core.rte import RealTimeEstimator
 from repro.core.symbol_crc import DEFAULT_CRC_CONFIG, SymbolCrcConfig
-from repro.obs.trace import active_recorder, metrics
+from repro.obs.trace import active_recorder
 from repro.phy import payload_codec
 from repro.phy.channel_estimation import equalize
 from repro.phy.constants import pilot_values
@@ -132,17 +132,6 @@ def decode_subframe_symbols(
         where ``equalized`` holds the phase-compensated equalized symbols
         (for soft decoding or constellation inspection).
     """
-    with metrics().timer("phy.decode_subframe").time():
-        return _decode_subframe_symbols(
-            received, channel_estimate, mcs, first_pilot_index,
-            reference_phase, crc_config, use_rte, rte_rule, rte_guard,
-        )
-
-
-def _decode_subframe_symbols(
-    received, channel_estimate, mcs, first_pilot_index, reference_phase,
-    crc_config, use_rte, rte_rule, rte_guard,
-):
     received = np.asarray(received, dtype=np.complex128)
     n_symbols = received.shape[0]
     scheme = crc_config.scheme
@@ -162,9 +151,6 @@ def _decode_subframe_symbols(
         return (bit_matrix[0], side_bits[0], crc_pass[0], phases[0],
                 estimator, equalized[0])
     rec = active_recorder()
-    scope = metrics().scope("phy")
-    crc_pass_ctr = scope.counter("crc_pass")
-    crc_fail_ctr = scope.counter("crc_fail")
 
     bit_matrix = np.empty((n_symbols, mcs.coded_bits_per_symbol), dtype=np.uint8)
     side_bits = np.zeros((n_symbols, scheme.bits_per_symbol), dtype=np.uint8)
@@ -204,7 +190,6 @@ def _decode_subframe_symbols(
         if not group_complete:
             continue
         ok = crc_config.check_group(group_index, bit_matrix, side_bits)
-        (crc_pass_ctr if ok else crc_fail_ctr).inc()
         if rec is not None and rec.sample(group_index):
             rec.emit("phy", "crc", group=group_index, ok=bool(ok),
                      symbols=len(group))
@@ -243,39 +228,31 @@ def decode_subframe_symbols_frozen_batch(
     its own. All trials must share ``n_symbols`` and ``first_pilot_index``
     (true for Monte-Carlo repeats of one frame).
 
-    The ``phy.crc_pass``/``phy.crc_fail`` counters advance once per CRC
-    group. No per-symbol trace events are emitted (only the RTE loop
-    samples symbols), so a traced decode runs exactly as a plain one.
+    No per-symbol trace events are emitted (only the RTE loop samples
+    symbols), so a traced decode runs exactly as a plain one.
 
     Returns:
         (bit_matrix, side_bits, crc_pass, phases, equalized) — each the
         per-trial result stacked along axis 0.
     """
-    with metrics().timer("phy.decode_subframe_batch").time():
-        scheme = crc_config.scheme
-        estimates = np.asarray(channel_estimates, dtype=np.complex128)[:, None, :]
-        equalized, phases = track_and_compensate_block(
-            equalize(received_stack, estimates), first_pilot_index
-        )
-        bit_matrix = payload_codec.symbols_to_bits(equalized, mcs)
-        n_trials, n_symbols = phases.shape
+    scheme = crc_config.scheme
+    estimates = np.asarray(channel_estimates, dtype=np.complex128)[:, None, :]
+    equalized, phases = track_and_compensate_block(
+        equalize(received_stack, estimates), first_pilot_index
+    )
+    bit_matrix = payload_codec.symbols_to_bits(equalized, mcs)
+    n_trials, n_symbols = phases.shape
 
-        references = np.asarray(reference_phases, dtype=np.float64)[:, None]
-        previous = np.concatenate([references, phases[:, :-1]], axis=1)
-        deltas = np.angle(np.exp(1j * (phases - previous)))
-        side_bits = (
-            scheme.decode_deltas(deltas.reshape(-1))
-            .reshape(n_trials, n_symbols, scheme.bits_per_symbol)
-        )
+    references = np.asarray(reference_phases, dtype=np.float64)[:, None]
+    previous = np.concatenate([references, phases[:, :-1]], axis=1)
+    deltas = np.angle(np.exp(1j * (phases - previous)))
+    side_bits = (
+        scheme.decode_deltas(deltas.reshape(-1))
+        .reshape(n_trials, n_symbols, scheme.bits_per_symbol)
+    )
 
-        crc_pass = crc_config.check_groups_block(bit_matrix, side_bits)
-        n_groups = n_trials * crc_config.num_groups(n_symbols)
-        n_pass = int(crc_pass[:, ::crc_config.granularity].sum())
-        scope = metrics().scope("phy")
-        scope.counter("crc_pass").inc(n_pass)
-        scope.counter("crc_fail").inc(n_groups - n_pass)
-
-        return bit_matrix, side_bits, crc_pass, phases, equalized
+    crc_pass = crc_config.check_groups_block(bit_matrix, side_bits)
+    return bit_matrix, side_bits, crc_pass, phases, equalized
 
 
 class CarpoolReceiver:
@@ -315,10 +292,6 @@ class CarpoolReceiver:
 
     def receive(self, received_symbols: np.ndarray) -> CarpoolRxResult:
         """Process one received Carpool frame (frequency-domain symbols)."""
-        with metrics().timer("phy.receive_frame").time():
-            return self._receive(received_symbols)
-
-    def _receive(self, received_symbols: np.ndarray) -> CarpoolRxResult:
         front = acquire(received_symbols)
         derotated = front.derotated
         channel = front.channel_estimate

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.trace import active_recorder, metrics
+from repro.obs.trace import active_recorder
 from repro.phy.channel_estimation import estimate_from_known_symbol
 
 __all__ = ["RealTimeEstimator", "RteGuard", "HARDENED_GUARD", "UPDATE_RULES"]
@@ -131,11 +131,8 @@ class RealTimeEstimator:
         #: Data pilots discarded wholesale by the symbol-level guard.
         self.rejected_symbols = 0
         self._consecutive_rejects = 0
-        # Ambient obs hooks, bound once per estimator (one per subframe).
+        # The ambient recorder, bound once per estimator (one per subframe).
         self._rec = active_recorder()
-        scope = metrics().scope("phy")
-        self._ctr_reject = scope.counter("rte_reject")
-        self._ctr_recover = scope.counter("rte_recover")
 
     @property
     def estimate(self) -> np.ndarray:
@@ -174,14 +171,12 @@ class RealTimeEstimator:
                     self._estimate = updated
                     self._consecutive_rejects = 0
                     self.updates += 1
-                    self._ctr_recover.inc()
                     if self._rec is not None:
                         self._rec.emit("phy", "rte_recover",
                                        after_rejects=self.guard.recover_after)
                     return
                 self.rejected_symbols += 1
                 self._consecutive_rejects += 1
-                self._ctr_reject.inc()
                 if self._rec is not None:
                     self._rec.emit("phy", "rte_reject",
                                    outlier_share=round(float(outlier_share), 6),

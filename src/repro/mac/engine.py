@@ -39,18 +39,12 @@ from repro.mac.metrics import MetricsCollector, MetricsSummary
 from repro.mac.node import Node
 from repro.mac.parameters import DEFAULT_PARAMETERS, PhyMacParameters
 from repro.mac.protocols.base import Protocol
-from repro.obs.metrics import NULL_INSTRUMENT
-from repro.obs.trace import active_recorder, metrics
+from repro.obs.trace import active_recorder
 from repro.util.rng import RngStream
 
 __all__ = ["WlanSimulator", "AP_NAME"]
 
 AP_NAME = "ap"
-
-_OBS_COUNTER_NAMES = ("transmissions", "collisions", "ahdr_miss",
-                      "ahdr_false_match", "ack_lost", "ack_desync")
-_DISABLED_COUNTERS = {name: NULL_INSTRUMENT for name in _OBS_COUNTER_NAMES}
-
 
 class _BlockErrorDraws:
     """Subframe decode outcomes from block-drawn uniforms.
@@ -198,10 +192,9 @@ class WlanSimulator:
                 self._faults = faults
             else:
                 self._faults = MacFaultInjector(faults, rng.child("faults"))
-        # Ambient obs hooks, looked up once per run() so disabled runs pay
-        # a single None check per logged event.
+        # The ambient recorder, looked up once per run() so disabled runs
+        # pay a single None check per logged event.
         self._rec = None
-        self._obs_counters = _DISABLED_COUNTERS
 
     # ------------------------------------------------------------------ #
 
@@ -215,10 +208,6 @@ class WlanSimulator:
         if duration <= 0:
             raise ValueError("duration must be positive")
         self._rec = active_recorder()
-        scope = metrics().scope("mac")
-        self._obs_counters = {
-            name: scope.counter(name) for name in _OBS_COUNTER_NAMES
-        }
         while self.now < duration:
             self._inject_arrivals()
             self.protocol.on_round(self._ap_nodes, self.now)
@@ -317,7 +306,6 @@ class WlanSimulator:
 
     def _collide(self, winners: list) -> None:
         busy = max(self._estimate_airtime(node) for node in winners)
-        self._obs_counters["collisions"].inc()
         self._log("collision", "+".join(sorted(n.name for n in winners)),
                   f"busy={busy * 1e6:.0f}us")
         self.metrics.record_collision(busy)
@@ -421,7 +409,6 @@ class WlanSimulator:
 
         total = overhead + transmission.total_duration
         self.metrics.record_transmission(total)
-        self._obs_counters["transmissions"].inc()
         self._log("transmit", node.name,
                   f"{len(transmission.subframes)} subframes, "
                   f"{transmission.total_payload_bytes} B")
@@ -480,7 +467,6 @@ class WlanSimulator:
                 # corrupted header — an undecoded subframe from the AP's
                 # point of view.
                 ok = False
-                self._obs_counters["ahdr_miss"].inc()
                 if self._rec is not None:
                     self._rec.emit("mac", "ahdr_miss", t=round(self.now, 9),
                                    node=subframe.destination)
@@ -504,7 +490,6 @@ class WlanSimulator:
             if name in addressed:
                 continue
             if self._faults.ahdr_false_match(ahdr_spec):
-                self._obs_counters["ahdr_false_match"].inc()
                 if self._rec is not None:
                     self._rec.emit("mac", "ahdr_false_match",
                                    t=round(self.now, 9), node=name)
@@ -527,7 +512,6 @@ class WlanSimulator:
                 acked[i] = False
                 if first_gap is None:
                     first_gap = i
-                self._obs_counters["ack_lost"].inc()
                 if self._rec is not None:
                     self._rec.emit(
                         "mac", "ack_lost", t=round(self.now, 9),
@@ -539,7 +523,6 @@ class WlanSimulator:
         ):
             for i in range(first_gap, len(acked)):
                 acked[i] = False
-            self._obs_counters["ack_desync"].inc()
             if self._rec is not None:
                 self._rec.emit(
                     "mac", "ack_desync", t=round(self.now, 9),

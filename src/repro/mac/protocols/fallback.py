@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.mac.protocols.carpool_mixed import CarpoolMixedProtocol
-from repro.obs.trace import active_recorder, metrics
+from repro.obs.trace import active_recorder
 
 __all__ = ["FallbackCarpoolProtocol"]
 
@@ -89,7 +89,6 @@ class FallbackCarpoolProtocol(CarpoolMixedProtocol):
         for destination in expired:
             del self._demoted[destination]
             self.repromotions += 1
-            metrics().counter("mac.repromotions").inc()
             rec = active_recorder()
             if rec is not None:
                 rec.emit("mac", "repromote", t=round(now, 9),
@@ -120,7 +119,6 @@ class FallbackCarpoolProtocol(CarpoolMixedProtocol):
         self._streak[destination] = 0
         # Transitions are rare (bounded by the cooldown duty cycle), so the
         # ambient lookup here costs nothing on the per-subframe path.
-        metrics().counter("mac.demotions").inc()
         rec = active_recorder()
         if rec is not None:
             rec.emit("mac", "demote", t=round(now, 9), node=destination,

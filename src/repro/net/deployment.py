@@ -65,8 +65,7 @@ from repro.net.interference import (
 from repro.net.roaming import RandomWaypointMobility, build_association_timeline
 from repro.net.topology import Arena, build_topology
 from repro.obs.log import get_logger
-from repro.obs.manifest import manifest_scope
-from repro.obs.trace import active_recorder, metrics
+from repro.obs.trace import active_recorder
 from repro.runtime.cache import ResultCache, code_fingerprint, content_key
 from repro.runtime.trials import run_trials
 from repro.traffic.background import background_uplink_arrivals
@@ -350,11 +349,10 @@ def _run_cell(spec: CellSpec) -> CellResult:
 
 def run_cell(spec: CellSpec) -> CellResult:
     """Execute one cell spec (pure function of the spec)."""
-    with metrics().timer("net.run_cell").time():
-        if spec.n_stations == 0:
-            result = _idle_cell(spec)
-        else:
-            result = _run_cell(spec)
+    if spec.n_stations == 0:
+        result = _idle_cell(spec)
+    else:
+        result = _run_cell(spec)
     rec = active_recorder()
     if rec is not None:
         rec.emit(
@@ -632,7 +630,6 @@ def simulate_deployment(
     n_workers: int | None = None,
     cache: ResultCache | None = None,
     use_cache: bool = True,
-    manifest_path=None,
     chunk_size: int | str | None = "auto",
     shards: int | None = None,
     return_aggregate: bool = False,
@@ -661,9 +658,6 @@ def simulate_deployment(
     without ``cells``), so neither may satisfy the other's lookup.
     ``use_cache=False`` forces a recompute (the fresh result is still
     stored).
-
-    ``manifest_path`` writes a provenance record (seed, git SHA, config
-    hash, versions, timing) next to wherever the caller stores the result.
 
     ``return_aggregate=True`` returns ``(result, aggregate)`` — the live
     :class:`~repro.net.aggregate.DeploymentAggregate` the result was
@@ -699,28 +693,23 @@ def simulate_deployment(
     log.info("simulating deployment: %d APs x %d STAs, %s, seed %d%s",
              config.n_aps, config.stas_per_ap, config.protocol, config.seed,
              f" ({shards} shards)" if streaming else "")
-    with manifest_scope(manifest_path, kind="deployment", seed=config.seed,
-                        config=config.to_payload()):
-        with metrics().timer("net.build_specs").time():
-            plan = _deployment_plan(config)
-        _emit_handoffs(config, plan.timeline)
-        if streaming:
-            chunk_size = max(1, math.ceil(config.n_aps / shards))
-        with metrics().timer("net.run_cells").time():
-            agg = run_trials(
-                _cell_trial, len(plan.ap_order),
-                seed=derive_seed(config.seed, "net-cells"),
-                n_workers=n_workers,
-                chunk_size=chunk_size,
-                trial_source=_spec_source(config, plan),
-                reduce_fn=reduce_cell,
-                reduce_init=aggregate_factory(config.mobility,
-                                              collect_cells=not streaming),
-            )
-        with metrics().timer("net.aggregate").time():
-            result = _finalize(config, agg, plan)
-        if not return_aggregate:
-            cache.put(key, result.to_dict())
+    plan = _deployment_plan(config)
+    _emit_handoffs(config, plan.timeline)
+    if streaming:
+        chunk_size = max(1, math.ceil(config.n_aps / shards))
+    agg = run_trials(
+        _cell_trial, len(plan.ap_order),
+        seed=derive_seed(config.seed, "net-cells"),
+        n_workers=n_workers,
+        chunk_size=chunk_size,
+        trial_source=_spec_source(config, plan),
+        reduce_fn=reduce_cell,
+        reduce_init=aggregate_factory(config.mobility,
+                                      collect_cells=not streaming),
+    )
+    result = _finalize(config, agg, plan)
+    if not return_aggregate:
+        cache.put(key, result.to_dict())
     if return_aggregate:
         return result, agg
     return result

@@ -2,8 +2,10 @@
 
 Three pieces, all zero-dependency and disabled by default:
 
-* a process-local **metrics registry** (:mod:`repro.obs.metrics`) whose
-  disabled fast path hands out shared no-op instruments,
+* a process-local **metrics registry** (:mod:`repro.obs.metrics`) of
+  the runtime's pool and IPC counters — the facts no result or trace
+  event records — whose disabled fast path hands out a shared no-op
+  counter,
 * a **structured trace recorder** (:mod:`repro.obs.trace`) emitting typed
   JSONL events with deterministic correlation ids, safe across
   ``runtime.trials`` worker pools,
@@ -38,12 +40,12 @@ from .telemetry import (
     trim_telemetry_records,
 )
 from .metrics import (
+    COUNTER_NAMES,
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
     MetricsRegistry,
     NullInstrument,
-    Timer,
 )
 from .report import format_report, load_events
 from .trace import (
@@ -65,8 +67,8 @@ from .trace import (
 )
 
 __all__ = [
+    "COUNTER_NAMES",
     "Counter",
-    "Timer",
     "MetricsRegistry",
     "NullInstrument",
     "NULL_INSTRUMENT",

@@ -3,7 +3,7 @@
 A manifest answers "what produced this file?" months later: the seed,
 the exact code revision, a stable hash of the run configuration, the
 interpreter and numpy versions, and how long the run took — plus the
-merged metrics snapshot when observability was on.
+metrics registry snapshot when observability was on.
 
 Manifests are plain JSON with sorted keys, so two runs of the same
 configuration differ only in the timing/provenance fields.
@@ -17,14 +17,11 @@ import os
 import platform
 import subprocess
 import sys
-import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 __all__ = [
     "RunManifest",
-    "manifest_scope",
     "write_manifest",
     "git_sha",
     "config_hash",
@@ -127,34 +124,3 @@ def write_manifest(path, *, kind, seed=None, config=None, metrics=None,
     os.replace(tmp, path)
     return manifest
 
-
-@contextmanager
-def manifest_scope(path=None, *, kind, seed=None, config=None):
-    """Time a run and write its manifest on exit.
-
-    The boilerplate every long-running driver repeats — snapshot wall and
-    CPU clocks, run, write a manifest carrying the timings and the
-    ambient metrics — in one scope. ``path=None`` still measures but
-    writes nothing, so callers can wrap unconditionally. Deployment runs
-    use this.
-
-    The metrics snapshot is taken at exit from the ambient registry
-    (:func:`repro.obs.trace.metrics`), which is a no-op dict when
-    metrics collection is off.
-    """
-    t_wall = time.perf_counter()
-    t_cpu = time.process_time()
-    yield
-    if path is None:
-        return
-    from .trace import metrics
-
-    write_manifest(
-        path,
-        kind=kind,
-        seed=seed,
-        config=config,
-        metrics=metrics().to_dict(),
-        wall_seconds=time.perf_counter() - t_wall,
-        cpu_seconds=time.process_time() - t_cpu,
-    )

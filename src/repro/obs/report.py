@@ -2,8 +2,9 @@
 
 ``repro report run.trace.jsonl`` prints, from a single trace file:
 
-* per-layer event counts (what actually happened, at a glance),
-* the top timers from the merged metrics snapshot the
+* per-layer event counts (what actually happened, at a glance — the
+  MAC, PHY and fallback facts are read here),
+* the runtime's pool and IPC counters from the registry snapshot the
   :class:`~repro.obs.trace.ObsSession` appended as the final
   ``obs.metrics`` event,
 * a fault-event timeline (injected faults, A-HDR misses/false matches,
@@ -22,7 +23,6 @@ __all__ = [
     "load_events",
     "final_metrics",
     "event_counts",
-    "timer_rows",
     "fault_timeline",
     "fallback_transitions",
     "format_report",
@@ -51,7 +51,7 @@ def load_events(path) -> list:
 
 
 def final_metrics(events) -> dict:
-    """The merged metrics snapshot from the last ``obs.metrics`` event."""
+    """The registry snapshot from the last ``obs.metrics`` event."""
     for record in reversed(events):
         if record.get("layer") == "obs" and record.get("event") == "metrics":
             return record.get("metrics", {})
@@ -69,18 +69,6 @@ def event_counts(events) -> dict:
 
 def _is_fault_event(name: str) -> bool:
     return name.startswith("fault") or name in FAULT_EVENT_NAMES
-
-
-def timer_rows(metrics: dict, top: int = 15) -> list:
-    """Timer table rows ``(name, count, total_s, mean_s, max_s)`` sorted
-    by total time descending."""
-    rows = []
-    for name, data in metrics.get("timers", {}).items():
-        count = data["count"]
-        mean = data["total"] / count if count else 0.0
-        rows.append((name, count, data["total"], mean, data["max"]))
-    rows.sort(key=lambda r: r[2], reverse=True)
-    return rows[:top]
 
 
 def fault_timeline(events, limit: int = 60) -> list:
@@ -110,7 +98,7 @@ def _fmt_event_line(record) -> str:
     return head + body
 
 
-def format_report(path, *, top: int = 15, timeline_limit: int = 60) -> str:
+def format_report(path, *, timeline_limit: int = 60) -> str:
     """The full human-readable report for one trace file."""
     events = load_events(path)
     lines = [f"Trace report: {path}", f"  {len(events)} events", ""]
@@ -124,20 +112,7 @@ def format_report(path, *, top: int = 15, timeline_limit: int = 60) -> str:
             lines.append(f"  {f'{layer}.{event}':<{width}}  {n:>8}")
         lines.append("")
 
-    metrics = final_metrics(events)
-    rows = timer_rows(metrics, top=top)
-    if rows:
-        lines.append(f"Top timers (by total time, top {top})")
-        width = max(len(name) for name, *_ in rows)
-        lines.append(
-            f"  {'timer':<{width}}  {'count':>8}  {'total':>10}  "
-            f"{'mean':>10}  {'max':>10}")
-        for name, count, total, mean, max_s in rows:
-            lines.append(
-                f"  {name:<{width}}  {count:>8}  {total:>9.4f}s  "
-                f"{mean:>9.6f}s  {max_s:>9.6f}s")
-        lines.append("")
-    counters = metrics.get("counters", {})
+    counters = final_metrics(events).get("counters", {})
     if counters:
         lines.append("Counters")
         width = max(len(name) for name in counters)

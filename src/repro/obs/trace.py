@@ -27,13 +27,15 @@ hot paths is::
         rec.emit("phy", "crc", ok=passed)
 
 and for metrics, ``metrics()`` returns :data:`~repro.obs.metrics.NULL_REGISTRY`
-when disabled, whose instruments are shared no-ops — no conditional needed.
+when disabled, whose counters are shared no-ops — no conditional needed.
+The registry's counters are all counted in the parent process, so it
+never leaves it.
 
 Worker processes never write the parent's trace file. ``runtime.trials``
-ships a picklable spec (:func:`worker_spec`) to each chunk; the worker
-wraps execution in :func:`chunk_capture`, which installs a fresh
-buffering recorder/registry, and returns an :class:`ObsChunk` whose
-events/metrics the parent folds back in span order (= trial order) via
+ships a picklable spec (:func:`worker_spec`) to each chunk of a traced
+run; the worker wraps execution in :func:`chunk_capture`, which installs
+a fresh buffering recorder, and returns an :class:`ObsChunk` whose
+events the parent folds back in span order (= trial order) via
 :func:`ingest_chunk`. A pid guard in the recorder additionally drops
 emissions from forked children that inherited the parent's recorder.
 """
@@ -173,7 +175,6 @@ class TraceRecorder:
 
 _RECORDER: Optional[TraceRecorder] = None
 _REGISTRY = NULL_REGISTRY
-_SHIP_METRICS = False  # capture metrics inside pool workers too?
 
 
 def active_recorder() -> Optional[TraceRecorder]:
@@ -195,7 +196,7 @@ def set_recorder(recorder: Optional[TraceRecorder]):
 
 def metrics():
     """The ambient metrics registry — :data:`NULL_REGISTRY` (all no-op
-    instruments) unless :func:`enable_metrics` installed a real one."""
+    counters) unless :func:`enable_metrics` installed a real one."""
     return _REGISTRY
 
 
@@ -203,33 +204,21 @@ def metrics_enabled() -> bool:
     return _REGISTRY is not NULL_REGISTRY
 
 
-def enable_metrics(registry: Optional[MetricsRegistry] = None, *,
-                   ship_to_workers: bool = False) -> MetricsRegistry:
-    """Install a real metrics registry and return it.
-
-    ``ship_to_workers=False`` (the default, what the bench harness uses)
-    captures parent-side metrics only — pool lifecycle, cache hits, chunk
-    retries — leaving the benchmarked worker chunk path untouched.
-    ``ship_to_workers=True`` (the CLI ``--metrics`` session) also collects
-    per-worker registries and merges them in.
-    """
-    global _REGISTRY, _SHIP_METRICS
-    if registry is None:
-        registry = MetricsRegistry()
-    _REGISTRY = registry
-    _SHIP_METRICS = bool(ship_to_workers)
-    return registry
+def enable_metrics() -> MetricsRegistry:
+    """Install a fresh metrics registry and return it."""
+    global _REGISTRY
+    _REGISTRY = MetricsRegistry()
+    return _REGISTRY
 
 
 def disable_metrics() -> None:
     """Restore the no-op registry."""
-    global _REGISTRY, _SHIP_METRICS
+    global _REGISTRY
     _REGISTRY = NULL_REGISTRY
-    _SHIP_METRICS = False
 
 
 @contextlib.contextmanager
-def collecting(*, ship_to_workers: bool = False):
+def collecting():
     """Install a fresh registry for the duration of the block and yield it,
     restoring the prior ambient state on exit.
 
@@ -237,14 +226,13 @@ def collecting(*, ship_to_workers: bool = False):
     disturbing an outer ``--metrics`` session (the previous registry comes
     back intact).
     """
-    global _REGISTRY, _SHIP_METRICS
-    prev_registry, prev_ship = _REGISTRY, _SHIP_METRICS
-    registry = MetricsRegistry()
-    _REGISTRY, _SHIP_METRICS = registry, bool(ship_to_workers)
+    global _REGISTRY
+    prev_registry = _REGISTRY
+    _REGISTRY = registry = MetricsRegistry()
     try:
         yield registry
     finally:
-        _REGISTRY, _SHIP_METRICS = prev_registry, prev_ship
+        _REGISTRY = prev_registry
 
 
 @contextlib.contextmanager
@@ -254,15 +242,14 @@ def suspended():
     Used around work that would double-count — e.g. the in-process probe
     trials of ``autotune_chunk_size``, whose results are discarded.
     """
-    global _REGISTRY, _SHIP_METRICS
+    global _REGISTRY
     prev_recorder = set_recorder(None)
-    prev_registry, prev_ship = _REGISTRY, _SHIP_METRICS
-    _REGISTRY, _SHIP_METRICS = NULL_REGISTRY, False
+    prev_registry, _REGISTRY = _REGISTRY, NULL_REGISTRY
     try:
         yield
     finally:
         set_recorder(prev_recorder)
-        _REGISTRY, _SHIP_METRICS = prev_registry, prev_ship
+        _REGISTRY = prev_registry
 
 
 # --------------------------------------------------------------------------
@@ -272,80 +259,55 @@ def suspended():
 
 @dataclass
 class ObsChunk:
-    """What an instrumented worker chunk returns: the trial results plus
-    the events/metrics captured while computing them."""
+    """What a traced worker chunk returns: the trial results plus the
+    events captured while computing them."""
 
     results: list
-    events: Optional[list] = None
-    metrics: Optional[dict] = None
+    events: list
 
 
 def worker_spec() -> Optional[dict]:
-    """Picklable description of the ambient obs config for pool workers,
-    or ``None`` when nothing needs capturing worker-side.
-
-    Tracing always ships (a trace with holes where the workers ran is
-    useless); metrics ship only when :func:`enable_metrics` was called
-    with ``ship_to_workers=True``.
-    """
-    want_trace = _RECORDER is not None
-    want_metrics = metrics_enabled() and _SHIP_METRICS
-    if not want_trace and not want_metrics:
+    """Picklable description of the ambient recorder for pool workers,
+    or ``None`` when the run is not traced (a trace with holes where the
+    workers ran is useless, so tracing always ships)."""
+    if _RECORDER is None:
         return None
-    spec = {"trace": want_trace, "metrics": want_metrics,
-            "sample_every": 0, "deterministic": False}
-    if want_trace:
-        spec["sample_every"] = _RECORDER.sample_every
-        spec["deterministic"] = _RECORDER.deterministic
-    return spec
+    return {"sample_every": _RECORDER.sample_every,
+            "deterministic": _RECORDER.deterministic}
 
 
 @contextlib.contextmanager
 def chunk_capture(spec: Optional[dict]):
-    """Run a worker chunk under a fresh, local obs capture.
+    """Run a worker chunk under a fresh, local trace recorder.
 
-    Installs a buffering recorder and/or registry per ``spec`` (always
-    replacing whatever fork inheritance left behind), yields a function
-    that wraps the chunk's results into an :class:`ObsChunk`, and restores
-    the prior state afterwards. With ``spec=None`` the wrapper is the
-    identity — zero overhead on the uninstrumented path.
+    Installs a buffering recorder per ``spec`` (always replacing whatever
+    fork inheritance left behind), yields a function that wraps the
+    chunk's results into an :class:`ObsChunk`, and restores the prior
+    recorder afterwards. With ``spec=None`` the wrapper is the identity —
+    zero overhead on the untraced path.
     """
     if spec is None:
         yield lambda results: results
         return
-    recorder = None
-    if spec.get("trace"):
-        recorder = TraceRecorder(None, sample_every=spec["sample_every"],
-                                 deterministic=spec["deterministic"])
-    registry = MetricsRegistry() if spec.get("metrics") else None
-
-    global _REGISTRY, _SHIP_METRICS
+    recorder = TraceRecorder(None, sample_every=spec["sample_every"],
+                             deterministic=spec["deterministic"])
     prev_recorder = set_recorder(recorder)
-    prev_registry, prev_ship = _REGISTRY, _SHIP_METRICS
-    if registry is not None:
-        _REGISTRY, _SHIP_METRICS = registry, False
     try:
-        yield lambda results: ObsChunk(
-            results=results,
-            events=recorder.events if recorder is not None else None,
-            metrics=registry.to_dict() if registry is not None else None,
-        )
+        yield lambda results: ObsChunk(results=results,
+                                       events=recorder.events)
     finally:
         set_recorder(prev_recorder)
-        _REGISTRY, _SHIP_METRICS = prev_registry, prev_ship
 
 
 def ingest_chunk(chunk):
-    """Parent-side: fold an :class:`ObsChunk` into the ambient obs state
-    and return the bare results. Plain (non-chunk) results pass through."""
+    """Parent-side: fold an :class:`ObsChunk`'s events into the ambient
+    recorder and return the bare results. Plain (non-chunk) results pass
+    through."""
     if not isinstance(chunk, ObsChunk):
         return chunk
-    if chunk.events:
-        recorder = active_recorder()
-        if recorder is not None:
-            recorder.ingest(chunk.events)
-    if chunk.metrics:
-        metrics().merge_dict(chunk.metrics)
+    recorder = active_recorder()
+    if recorder is not None:
+        recorder.ingest(chunk.events)
     return chunk.results
 
 
@@ -368,9 +330,9 @@ class ObsSession:
     """Install observability for one run, then tear it down cleanly.
 
     On exit the session appends a final ``obs.metrics`` event carrying the
-    merged registry snapshot to the trace (so ``repro report`` renders the
-    timer table from a single JSONL file), flushes the trace, writes a run
-    manifest next to it, and restores the previous ambient state.
+    registry snapshot to the trace (so ``repro report`` renders the
+    runtime counters from a single JSONL file), flushes the trace, writes
+    a run manifest next to it, and restores the previous ambient state.
     """
 
     def __init__(self, *, trace_path=None, metrics_on: bool = False,
@@ -398,7 +360,7 @@ class ObsSession:
         else:
             self._prev_recorder = None
         if self.metrics_on:
-            self.registry = enable_metrics(ship_to_workers=True)
+            self.registry = enable_metrics()
         self._t_wall = time.perf_counter()
         self._t_cpu = time.process_time()
         return self

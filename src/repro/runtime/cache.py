@@ -34,7 +34,7 @@ from functools import lru_cache
 from types import ModuleType
 
 from ..obs.log import get_logger
-from ..obs.trace import active_recorder, metrics
+from ..obs.trace import active_recorder
 
 log = get_logger(__name__)
 
@@ -168,11 +168,8 @@ class ResultCache:
         self._record("hit", key, tier="disk")
         return value
 
-    _COUNTERS = {"hit": "runtime.cache_hits", "miss": "runtime.cache_misses"}
-
     def _record(self, outcome: str, key: str, tier: str = "") -> None:
         """Forward one lookup outcome to the obs layer (no-ops when off)."""
-        metrics().counter(self._COUNTERS[outcome]).inc()
         rec = active_recorder()
         if rec is not None:
             fields = {"namespace": self.namespace, "key": key}

@@ -323,12 +323,12 @@ def _run_trial_chunk(fn, seed, n_trials, start, stop, args, obs_spec=None,
     (micro-seconds per child), so this costs nothing measurable.
 
     ``obs_spec`` (only passed on pool submissions, and only when the
-    parent has observability on) makes the worker capture its own events
-    and metrics under a fresh local capture state and return an
-    ``ObsChunk`` for the parent to fold back in span order. With it
-    ``None`` — every uninstrumented run — the plain result comes back
-    untouched. Serial in-process calls leave it ``None`` too: there the
-    parent's own ambient recorder is already active.
+    parent is tracing) makes the worker capture its own events under a
+    fresh local recorder and return an ``ObsChunk`` for the parent to
+    fold back in span order. With it ``None`` — every untraced run — the
+    plain result comes back untouched. Serial in-process calls leave it
+    ``None`` too: there the parent's own ambient recorder is already
+    active.
 
     ``batch_fn`` routes the whole chunk through one vectorised call. A
     *traced* chunk always takes the scalar loop instead: correlation ids
@@ -477,61 +477,60 @@ def run_trials(
         ``[fn(0, rng0, *args), ..., fn(n_trials-1, ...)]`` — identical for
         every worker count. With ``reduce_fn`` the merged accumulator.
     """
-    with metrics().timer("runtime.run_trials").time():
-        if n_trials < 0:
-            raise ValueError(f"n_trials must be >= 0, got {n_trials}")
-        reducing = reduce_fn is not None
-        if reducing and reduce_init is None:
-            raise ValueError(
-                "reduce_fn requires reduce_init (accumulator factory)")
-        if reduce_init is not None and not reducing:
-            raise ValueError("reduce_init without reduce_fn does nothing")
-        if n_trials == 0:
-            return reduce_init() if reducing else []
-        n_workers = resolve_workers(n_workers)
+    if n_trials < 0:
+        raise ValueError(f"n_trials must be >= 0, got {n_trials}")
+    reducing = reduce_fn is not None
+    if reducing and reduce_init is None:
+        raise ValueError(
+            "reduce_fn requires reduce_init (accumulator factory)")
+    if reduce_init is not None and not reducing:
+        raise ValueError("reduce_init without reduce_fn does nothing")
+    if n_trials == 0:
+        return reduce_init() if reducing else []
+    n_workers = resolve_workers(n_workers)
 
-        if chunk_size == "auto":
-            ipc = None
-            if n_workers > 1 and n_trials > 1:
-                ipc = _measured_ipc(n_workers)
-            chunk_size = autotune_chunk_size(
-                fn, n_trials, seed=seed, n_workers=n_workers, args=args,
-                ipc_seconds=ipc, trial_source=trial_source,
-            )
-        elif chunk_size is not None:
-            chunk_size = max(1, int(chunk_size))
+    if chunk_size == "auto":
+        ipc = None
+        if n_workers > 1 and n_trials > 1:
+            ipc = _measured_ipc(n_workers)
+        chunk_size = autotune_chunk_size(
+            fn, n_trials, seed=seed, n_workers=n_workers, args=args,
+            ipc_seconds=ipc, trial_source=trial_source,
+        )
+    elif chunk_size is not None:
+        chunk_size = max(1, int(chunk_size))
 
-        if chunk_size is None:
-            chunk_size = max(1, -(-n_trials // (4 * n_workers)))
+    if chunk_size is None:
+        chunk_size = max(1, -(-n_trials // (4 * n_workers)))
 
-        if n_workers == 1 or n_trials == 1:
-            # Reducing runs go chunk at a time even in-process: only one
-            # chunk's items and results are ever alive, which is the
-            # constant-memory contract sharded callers rely on.
-            spans = (_chunk_spans(n_trials, chunk_size) if reducing
-                     else [(0, n_trials)])
-            return _combine((
-                _run_trial_chunk(fn, seed, n_trials, start, stop, args, None,
-                                 batch_fn,
-                                 _chunk_items(trial_source, start, stop),
-                                 reduce_fn, reduce_init)
-                for start, stop in spans
-            ), reducing)
-        spans = _chunk_spans(n_trials, chunk_size)
-        spec = worker_spec()
-        pool = persistent_pool(n_workers)
-        try:
-            futures = [
-                pool.submit(_run_trial_chunk, fn, seed, n_trials, start, stop,
-                            args, spec, batch_fn,
-                            _chunk_items(trial_source, start, stop),
-                            reduce_fn, reduce_init)
-                for start, stop in spans
-            ]
-            return _combine((_received(future) for future in futures),
-                            reducing)
-        except BrokenProcessPool:
-            # A dead worker poisons the pool for every later call:
-            # evict it so the next run starts fresh, then re-raise.
-            _discard_pool(pool)
-            raise
+    if n_workers == 1 or n_trials == 1:
+        # Reducing runs go chunk at a time even in-process: only one
+        # chunk's items and results are ever alive, which is the
+        # constant-memory contract sharded callers rely on.
+        spans = (_chunk_spans(n_trials, chunk_size) if reducing
+                 else [(0, n_trials)])
+        return _combine((
+            _run_trial_chunk(fn, seed, n_trials, start, stop, args, None,
+                             batch_fn,
+                             _chunk_items(trial_source, start, stop),
+                             reduce_fn, reduce_init)
+            for start, stop in spans
+        ), reducing)
+    spans = _chunk_spans(n_trials, chunk_size)
+    spec = worker_spec()
+    pool = persistent_pool(n_workers)
+    try:
+        futures = [
+            pool.submit(_run_trial_chunk, fn, seed, n_trials, start, stop,
+                        args, spec, batch_fn,
+                        _chunk_items(trial_source, start, stop),
+                        reduce_fn, reduce_init)
+            for start, stop in spans
+        ]
+        return _combine((_received(future) for future in futures),
+                        reducing)
+    except BrokenProcessPool:
+        # A dead worker poisons the pool for every later call:
+        # evict it so the next run starts fresh, then re-raise.
+        _discard_pool(pool)
+        raise

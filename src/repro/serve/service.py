@@ -35,6 +35,7 @@ from repro.net.aggregate import DeploymentAggregate
 from repro.net.deployment import simulate_deployment
 from repro.obs.log import get_logger
 from repro.obs.manifest import config_hash, write_manifest
+from repro.obs.metrics import COUNTER_NAMES
 from repro.obs.slo import SloWatchdog, write_health
 from repro.obs.telemetry import (
     append_telemetry_record,
@@ -191,30 +192,22 @@ def _count_offered(workload: SoakWorkload, spec) -> int:
     return per_cell * workload.n_aps
 
 
-_POOL_COUNTERS = ("runtime.pool_spawned", "runtime.pool_reused",
-                  "runtime.ipc_result_bytes")
-
-
 def _sample_pool_counters() -> dict:
     """Current pool/IPC counter values from the *ambient* registry.
 
     Real figures under ``--metrics`` (or a ``collecting()`` session, as
     the ``bench/`` workloads open); zeros otherwise. Telemetry
     deliberately does not install its own registry: a live registry puts
-    every parent-side timer and the per-chunk IPC re-pickling on the hot
-    path of every telemetry-on soak. The epoch's wall record carries
-    deltas of whatever the ambient session measures.
+    the per-chunk IPC re-pickling on the hot path of every telemetry-on
+    soak. The epoch's wall record carries deltas of whatever the ambient
+    session measures.
     """
     if not metrics_enabled():
-        return dict.fromkeys(_POOL_COUNTERS, 0)
-    reg = metrics()
-    return {
-        name: int(inst.value) if (inst := reg.get(name)) is not None else 0
-        for name in _POOL_COUNTERS
-    }
+        return dict.fromkeys(COUNTER_NAMES, 0)
+    return metrics().to_dict()["counters"]
 
 
-def _observe_epoch(config: SoakConfig, watchdog: SloWatchdog, breach_counter,
+def _observe_epoch(config: SoakConfig, watchdog: SloWatchdog,
                    *, epoch: int, spec, epoch_agg, rolling, offered: int,
                    pool_deltas: dict, epoch_wall: float, cursor: int) -> None:
     """Append the epoch's telemetry record, evaluate SLOs, write health.
@@ -268,7 +261,6 @@ def _observe_epoch(config: SoakConfig, watchdog: SloWatchdog, breach_counter,
                                 epochs_completed=cursor),
     )
     if breaches:
-        breach_counter.inc(len(breaches))
         rec = active_recorder()
         for breach in breaches:
             log.warning("SLO breach at epoch %d: %s (value %.6g, policy %s)",
@@ -325,18 +317,6 @@ def run_soak(config: SoakConfig) -> SoakSummary:
             trim_telemetry_records(config.checkpoint_dir, 0)
         log.info("starting soak %s in %s", run_hash, config.checkpoint_dir)
 
-    reg = metrics()
-    epochs_counter = reg.counter("serve.epochs")
-    users_counter = reg.counter("serve.users")
-    frames_counter = reg.counter("serve.frames")
-    breach_counter = reg.counter("serve.slo_breaches")
-    epoch_timer = reg.timer("serve.epoch")
-    # Times the telemetry machinery itself (sampling, the record append,
-    # watchdog evaluation, the health write) — under a ``--metrics``
-    # session, serve.observe / serve.epoch is the paired, same-run
-    # measurement of telemetry overhead.
-    observe_timer = reg.timer("serve.observe")
-
     start_wall = time.perf_counter()
     epochs_this_run = 0
     interrupted = False
@@ -391,19 +371,18 @@ def run_soak(config: SoakConfig) -> SoakSummary:
             # Telemetry observes the epoch from the outside — the
             # simulation call below is byte-for-byte the same with
             # telemetry on or off (its deterministic counters ride
-            # the DeploymentAggregate, not a shipped registry), so
+            # the DeploymentAggregate, not the metrics registry), so
             # turning it on cannot perturb what it measures.
             pool_before = (_sample_pool_counters() if telemetry_on
                            else {})
             epoch_t0 = time.perf_counter()
-            with epoch_timer.time():
-                _, epoch_agg = simulate_deployment(
-                    epoch_config,
-                    n_workers=config.n_workers,
-                    use_cache=False,
-                    shards=config.shards,
-                    return_aggregate=True,
-                )
+            _, epoch_agg = simulate_deployment(
+                epoch_config,
+                n_workers=config.n_workers,
+                use_cache=False,
+                shards=config.shards,
+                return_aggregate=True,
+            )
             epoch_wall = time.perf_counter() - epoch_t0
             offered = _count_offered(workload, spec)
             rolling.merge(epoch_agg)
@@ -411,9 +390,6 @@ def run_soak(config: SoakConfig) -> SoakSummary:
             cumulative_users += workload.n_aps * spec.stas_per_ap
             cumulative_frames += int(epoch_agg.transmissions)
             epochs_this_run += 1
-            epochs_counter.inc()
-            users_counter.inc(workload.n_aps * spec.stas_per_ap)
-            frames_counter.inc(int(epoch_agg.transmissions))
 
             append_epoch_record(config.checkpoint_dir, {
                 "epoch": spec.index,
@@ -436,16 +412,15 @@ def run_soak(config: SoakConfig) -> SoakSummary:
             dirty = True
 
             if telemetry_on:
-                with observe_timer.time():
-                    pool_after = _sample_pool_counters()
-                    _observe_epoch(
-                        config, watchdog, breach_counter,
-                        epoch=spec.index, spec=spec, epoch_agg=epoch_agg,
-                        rolling=rolling, offered=offered,
-                        pool_deltas={k: pool_after[k] - pool_before[k]
-                                     for k in pool_after},
-                        epoch_wall=epoch_wall, cursor=cursor,
-                    )
+                pool_after = _sample_pool_counters()
+                _observe_epoch(
+                    config, watchdog,
+                    epoch=spec.index, spec=spec, epoch_agg=epoch_agg,
+                    rolling=rolling, offered=offered,
+                    pool_deltas={k: pool_after[k] - pool_before[k]
+                                 for k in pool_after},
+                    epoch_wall=epoch_wall, cursor=cursor,
+                )
                 if watchdog.wants_drain() and not drain.stop:
                     drain.stop = True
                     log.warning(

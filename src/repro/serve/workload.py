@@ -6,7 +6,7 @@ deployment simulations whose station population churns epoch to epoch
 traffic shape comes from one of the :mod:`repro.traffic` models
 (CBR / VoIP-like / trace-mixed). Millions of cumulative users means
 millions of *station-epochs* folded through the rolling aggregate — the
-streamer must therefore be lazy end to end:
+streamer must therefore keep nothing that grows with the run:
 
 * **No whole-run state.** Every epoch is minted independently by
   :func:`epoch_spec` from the root seed — random access by index, so a
@@ -15,11 +15,10 @@ streamer must therefore be lazy end to end:
   ``np.random.SeedSequence(root, spawn_key=(e,))``; epochs are
   statistically independent and no seed depends on how many epochs came
   before.
-* **No materialised arrival lists.** Cell workloads are generated inside
-  pool workers by the deployment engine; the parent-side arrival preview
-  (:func:`iter_epoch_arrivals`) streams per-station generators through
-  the lazy :func:`repro.traffic.flows.iter_merge_arrivals`, holding one
-  pending arrival per station.
+* **Cell workloads stay in the workers.** Cells generate their arrivals
+  inside pool workers; the parent only counts one cell's epoch of
+  arrivals (:func:`iter_epoch_arrivals`) to report offered load, and
+  that list lives for one epoch.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mac.frames import Arrival, Direction
 from repro.net.deployment import DeploymentConfig
-from repro.traffic.flows import iter_merge_arrivals
+from repro.traffic.flows import cbr_downlink_arrivals
 from repro.traffic.trace_models import TRACE_MODELS, active_sta_timeseries, sample_frame_sizes
 from repro.util.rng import RngStream
 
@@ -53,8 +51,6 @@ __all__ = [
 #: ``trace-mixed`` draws each epoch's frame size from a public-WLAN
 #: trace CDF at the trace's TCP packet rate.
 TRAFFIC_MODES = ("cbr", "voip", "trace-mixed")
-
-_CBR_JITTER = 0.1  # must mirror flows.cbr_downlink_arrivals' default
 
 
 @dataclass(frozen=True)
@@ -190,44 +186,21 @@ def iter_epochs(workload: SoakWorkload, start: int = 0):
         index += 1
 
 
-def _station_cbr_stream(name: str, duration: float, frame_bytes: int,
-                        frames_per_second: float, rng: RngStream,
-                        ap_name: str = "ap"):
-    """One station's CBR downlink arrivals as a lazy generator.
-
-    Mirrors :func:`repro.traffic.flows.cbr_downlink_arrivals` draw for
-    draw (same child-stream name, same uniform sequence), so merging
-    these generators reproduces the eager list exactly — asserted by the
-    workload tests.
-    """
-    gen = rng.child(f"cbr-{name}")
-    gap = 1.0 / frames_per_second
-    t = float(gen.uniform(0.0, gap))
-    while t < duration:
-        yield Arrival(time=t, source=ap_name, destination=name,
-                      size_bytes=frame_bytes, delay_sensitive=True,
-                      direction=Direction.DOWNLINK)
-        t += gap * (1.0 + float(gen.uniform(-_CBR_JITTER, _CBR_JITTER)))
-
-
 def iter_epoch_arrivals(workload: SoakWorkload, spec: EpochSpec,
                         cell_index: int = 0):
-    """Lazily stream one cell's downlink arrivals for an epoch.
+    """Iterate over one cell's downlink arrivals for an epoch.
 
-    Per-station generators merged through
-    :func:`repro.traffic.flows.iter_merge_arrivals`: memory is one
-    pending arrival per station regardless of epoch length. The service
-    counts this stream each epoch to report offered load without ever
-    holding an arrival list; the cells themselves regenerate their
-    workloads independently inside pool workers.
+    The cell's CBR arrivals from
+    :func:`repro.traffic.flows.cbr_downlink_arrivals`, time-sorted with
+    equal timestamps in station order. The service counts this stream
+    each epoch to report offered load; the cells themselves regenerate
+    their workloads independently inside pool workers.
     """
     rng = RngStream(spec.seed).child(f"preview-cell{cell_index}")
-    streams = [
-        _station_cbr_stream(f"sta{i}", spec.duration, spec.frame_bytes,
-                            spec.frames_per_second, rng)
-        for i in range(spec.stas_per_ap)
-    ]
-    return iter_merge_arrivals(*streams)
+    stations = [f"sta{i}" for i in range(spec.stas_per_ap)]
+    return iter(cbr_downlink_arrivals(stations, spec.duration,
+                                      spec.frame_bytes,
+                                      spec.frames_per_second, rng))
 
 
 def deployment_config(workload: SoakWorkload, spec: EpochSpec,

@@ -189,6 +189,36 @@ class TestCarpool:
         tx = proto.build(node, 1.0)
         assert tx.subframes[0].destination == "sta1"
 
+    def test_total_frame_size_cap(self):
+        proto = CarpoolProtocol(DEFAULT_PARAMETERS,
+                                AggregationLimits(max_frame_bytes=1000))
+        node = _node()
+        node.enqueue(_frame("sta0", size=700))
+        node.enqueue(_frame("sta1", size=700))
+        tx = proto.build(node, 0.01)
+        assert tx.total_payload_bytes == 700
+        assert len(node.queue) == 1
+
+    def test_oversized_head_frame_ships_alone(self):
+        proto = CarpoolProtocol(DEFAULT_PARAMETERS,
+                                AggregationLimits(max_frame_bytes=500))
+        node = _node()
+        node.enqueue(_frame("sta0", size=900))
+        node.enqueue(_frame("sta1", size=100))
+        tx = proto.build(node, 0.01)
+        assert [sf.destination for sf in tx.subframes] == ["sta0"]
+        assert tx.total_payload_bytes == 900  # the head never wedges
+        assert len(node.queue) == 1
+
+    def test_fifo_within_class(self):
+        proto = CarpoolProtocol(DEFAULT_PARAMETERS,
+                                AggregationLimits(max_frame_bytes=600))
+        node = _node()
+        node.enqueue(_frame("sta1", size=600, t=0.2))
+        node.enqueue(_frame("sta0", size=600, t=0.1))
+        tx = proto.build(node, 1.0)
+        assert [sf.destination for sf in tx.subframes] == ["sta0"]
+
     def test_ready_waits_for_aggregation(self):
         proto = CarpoolProtocol(
             DEFAULT_PARAMETERS, AggregationLimits(max_latency=0.010)

@@ -37,7 +37,7 @@ def recorder():
 
 @pytest.fixture
 def registry():
-    """A fresh enabled metrics registry (worker shipping off)."""
+    """A fresh enabled metrics registry."""
     reg = enable_metrics()
     yield reg
     disable_metrics()

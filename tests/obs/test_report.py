@@ -11,7 +11,6 @@ from repro.obs.report import (
     final_metrics,
     format_report,
     load_events,
-    timer_rows,
 )
 
 
@@ -25,7 +24,7 @@ def _write_trace(path, events):
 @pytest.fixture
 def trace(tmp_path):
     """A synthetic but representative trace: MAC faults, a fallback
-    demote/re-promote cycle, and the final merged-metrics event."""
+    demote/re-promote cycle, and the final registry-snapshot event."""
     events = [
         {"seq": 0, "layer": "mac", "event": "transmit", "node": "ap"},
         {"seq": 1, "layer": "phy", "event": "ahdr_miss", "node": "sta1",
@@ -38,13 +37,9 @@ def trace(tmp_path):
         {"seq": 5, "layer": "mac", "event": "repromote", "node": "sta1",
          "t": 0.7},
         {"seq": 6, "layer": "obs", "event": "metrics", "metrics": {
-            "counters": {"mac.demotions": 1},
-            "timers": {
-                "runtime.run_trials": {"count": 2, "total": 1.0,
-                                       "min": 0.4, "max": 0.6},
-                "net.run_cell": {"count": 4, "total": 3.0,
-                                 "min": 0.5, "max": 1.0},
-            },
+            "counters": {"runtime.ipc_result_bytes": 512,
+                         "runtime.pool_reused": 0,
+                         "runtime.pool_spawned": 1},
         }},
     ]
     return _write_trace(tmp_path / "run.jsonl", events)
@@ -64,7 +59,7 @@ class TestLoaders:
 
     def test_final_metrics(self, trace):
         metrics = final_metrics(load_events(trace))
-        assert metrics["counters"]["mac.demotions"] == 1
+        assert metrics["counters"]["runtime.pool_spawned"] == 1
 
     def test_final_metrics_empty_without_snapshot(self):
         assert final_metrics([{"layer": "mac", "event": "transmit"}]) == {}
@@ -76,16 +71,6 @@ class TestLoaders:
 
 
 class TestTables:
-    def test_timer_rows_sorted_by_total(self, trace):
-        rows = timer_rows(final_metrics(load_events(trace)))
-        assert [r[0] for r in rows] == ["net.run_cell", "runtime.run_trials"]
-        name, count, total, mean, max_s = rows[0]
-        assert count == 4 and total == 3.0 and mean == 0.75 and max_s == 1.0
-
-    def test_timer_rows_top_cap(self, trace):
-        rows = timer_rows(final_metrics(load_events(trace)), top=1)
-        assert len(rows) == 1
-
     def test_fault_timeline(self, trace):
         names = [e["event"] for e in fault_timeline(load_events(trace))]
         assert names == ["ahdr_miss", "ack_desync", "rte_reject"]
@@ -102,8 +87,8 @@ class TestFormatReport:
         text = format_report(trace)
         assert "7 events" in text
         assert "Event counts by layer" in text
-        assert "Top timers" in text
-        assert "net.run_cell" in text
+        assert "Counters" in text
+        assert "runtime.ipc_result_bytes" in text
         assert "Fault timeline" in text
         assert "Fallback transitions (1 demote, 1 repromote)" in text
         assert "mac.demote" in text

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY
 from repro.obs.trace import (
     ObsChunk,
     ObsSession,
@@ -107,13 +107,14 @@ class TestAmbientState:
 
     def test_collecting_installs_and_restores(self):
         outer = enable_metrics()
-        outer.counter("outer").inc()
+        outer.counter("runtime.pool_spawned").inc()
         with collecting() as inner:
-            metrics().counter("inner").inc()
+            metrics().counter("runtime.pool_reused").inc()
             assert metrics() is inner
         assert metrics() is outer
-        assert inner.counter("inner").value == 1
-        assert "inner" not in outer.names()
+        assert inner.counter("runtime.pool_reused").value == 1
+        assert inner.counter("runtime.pool_spawned").value == 0
+        assert outer.counter("runtime.pool_reused").value == 0
         disable_metrics()
 
     def test_suspended_blanks_everything(self, recorder, registry):
@@ -133,45 +134,34 @@ class TestWorkerCapture:
     def test_worker_spec_ships_trace_config(self, recorder):
         recorder.sample_every = 5
         spec = worker_spec()
-        assert spec == {"trace": True, "metrics": False,
-                        "sample_every": 5, "deterministic": True}
+        assert spec == {"sample_every": 5, "deterministic": True}
 
-    def test_worker_spec_ships_metrics_only_when_asked(self):
-        enable_metrics()  # default: parent-side only
+    def test_worker_spec_none_without_a_recorder(self, registry):
+        # The registry's counters are all counted in the parent: a
+        # metrics-only session ships nothing to the workers.
         assert worker_spec() is None
-        disable_metrics()
-        enable_metrics(ship_to_workers=True)
-        spec = worker_spec()
-        assert spec == {"trace": False, "metrics": True,
-                        "sample_every": 0, "deterministic": False}
-        disable_metrics()
 
     def test_chunk_capture_none_is_identity(self):
         with chunk_capture(None) as wrap:
             assert wrap([1, 2]) == [1, 2]
 
-    def test_chunk_capture_collects_events_and_metrics(self):
-        spec = {"trace": True, "metrics": True, "sample_every": 0,
-                "deterministic": True}
+    def test_chunk_capture_collects_events(self):
+        spec = {"sample_every": 0, "deterministic": True}
         with chunk_capture(spec) as wrap:
             active_recorder().emit("t", "e", k=1)
-            metrics().counter("t.n").inc(3)
             chunk = wrap(["r0"])
         assert isinstance(chunk, ObsChunk)
         assert chunk.results == ["r0"]
         assert chunk.events[0]["event"] == "e"
-        assert chunk.metrics["counters"]["t.n"] == 3
         # Prior (disabled) state restored.
         assert active_recorder() is None
         assert metrics() is NULL_REGISTRY
 
-    def test_ingest_chunk_folds_into_parent(self, recorder, registry):
+    def test_ingest_chunk_folds_into_parent(self, recorder):
         chunk = ObsChunk(results=[1, 2],
-                         events=[{"seq": 0, "layer": "w", "event": "x"}],
-                         metrics={"counters": {"w.n": 4}})
+                         events=[{"seq": 0, "layer": "w", "event": "x"}])
         assert ingest_chunk(chunk) == [1, 2]
         assert recorder.events[-1]["event"] == "x"
-        assert registry.counter("w.n").value == 4
 
     def test_ingest_chunk_passes_plain_results_through(self):
         assert ingest_chunk([3, 4]) == [3, 4]
@@ -190,12 +180,12 @@ class TestObsSession:
         with ObsSession(trace_path=path, manifest_kind="test",
                         manifest_config={"k": 1}, seed=7) as session:
             active_recorder().emit("mac", "demote", node="sta0")
-            metrics().counter("mac.demotions").inc()
+            metrics().counter("runtime.pool_spawned").inc()
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert events[0]["event"] == "demote"
-        # Final event carries the merged metrics snapshot.
+        # Final event carries the registry snapshot.
         assert events[-1]["layer"] == "obs"
-        assert events[-1]["metrics"]["counters"]["mac.demotions"] == 1
+        assert events[-1]["metrics"]["counters"]["runtime.pool_spawned"] == 1
         manifest = json.loads((tmp_path / "run.jsonl.manifest.json").read_text())
         assert manifest["kind"] == "test"
         assert manifest["seed"] == 7
@@ -214,8 +204,8 @@ class TestObsSession:
 
     def test_metrics_only_session_writes_nothing(self, tmp_path):
         with ObsSession(metrics_on=True) as session:
-            metrics().counter("x").inc()
-        assert session.registry.counter("x").value == 1
+            metrics().counter("runtime.pool_reused").inc()
+        assert session.registry.counter("runtime.pool_reused").value == 1
         assert session.manifest_path is None
         assert list(tmp_path.iterdir()) == []
 

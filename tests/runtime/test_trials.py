@@ -229,15 +229,14 @@ class TestExperimentDeterminism:
 
 
 def _emitting_trial(trial_index, rng, scale):
-    # Emits through the ambient recorder/registry so trace determinism
-    # can be asserted across worker counts.
-    from repro.obs.trace import active_recorder, metrics
+    # Emits through the ambient recorder so trace determinism can be
+    # asserted across worker counts.
+    from repro.obs.trace import active_recorder
 
     value = round(float(rng.random()) * scale, 9)
     rec = active_recorder()
     if rec is not None:
         rec.emit("test", "trial_done", value=value)
-    metrics().counter("test.trials").inc()
     return (trial_index, value)
 
 
@@ -312,17 +311,3 @@ class TestTraceDeterminism:
         ]
         # A different run seed yields different ids for the same slots.
         assert trial_correlation_id(6, 0) != trial_correlation_id(5, 0)
-
-    def test_worker_metrics_fold_back_only_when_shipped(self):
-        from repro.obs.trace import disable_metrics, enable_metrics
-
-        registry = enable_metrics()  # parent-side only
-        run_trials(_emitting_trial, 6, seed=1, n_workers=2, args=(1.0,))
-        assert registry.counter("test.trials").value == 0
-        disable_metrics()
-
-        registry = enable_metrics(ship_to_workers=True)
-        run_trials(_emitting_trial, 6, seed=1, n_workers=2, args=(1.0,))
-        assert registry.counter("test.trials").value == 6
-        disable_metrics()
-        shutdown_pools()

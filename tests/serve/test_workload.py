@@ -101,9 +101,9 @@ class TestLazyArrivals:
         assert first == second
 
     def test_mirrors_eager_cbr_generator(self):
-        # The lazy per-station generators must replay the eager CBR
-        # model draw for draw: same child-stream names, same uniform
-        # sequence, so the merged lazy stream equals the eager list.
+        # The preview is the one CBR generator under the cell's
+        # ``preview-cell{k}`` stream: same child-stream names, same
+        # uniform sequence, equal timestamps in station order.
         spec = epoch_spec(_SMALL, 4)
         lazy = list(iter_epoch_arrivals(_SMALL, spec, cell_index=2))
         names = [f"sta{i}" for i in range(spec.stas_per_ap)]

@@ -137,11 +137,12 @@ class TestObsFlags:
 
     def test_report_flags(self):
         args = build_parser().parse_args(
-            ["report", "t.jsonl", "--top", "5", "--timeline", "10"]
+            ["report", "t.jsonl", "--timeline", "10"]
         )
         assert args.path == "t.jsonl"
-        assert args.top == 5
         assert args.timeline == 10
+        with pytest.raises(SystemExit):  # no timer table to cap
+            build_parser().parse_args(["report", "t.jsonl", "--top", "5"])
 
     def test_trace_sample_rejects_nonpositive(self):
         with pytest.raises(SystemExit):
@@ -196,7 +197,7 @@ class TestObsCommands:
 
         trace = tmp_path / "run.jsonl"
         code = main(["phy", "--trials", "2", "--payload", "300",
-                     "--trace", str(trace), "--metrics"])
+                     "--workers", "2", "--trace", str(trace), "--metrics"])
         assert code == 0
         out = capsys.readouterr().out
         assert f"trace: {trace}" in out
@@ -213,7 +214,12 @@ class TestObsCommands:
         assert code == 0
         report = capsys.readouterr().out
         assert "Event counts by layer" in report
-        assert "Top timers" in report
+        # The counter table comes from a real 2-worker pool, and the
+        # registry holds nothing but the runtime's counters.
+        section = report.split("\nCounters\n", 1)[1].split("\n\n", 1)[0]
+        counters = [line.split()[0] for line in section.splitlines()]
+        assert counters
+        assert all(name.startswith("runtime.") for name in counters)
 
     def test_report_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["report", str(tmp_path / "absent.jsonl")]) == 2

@@ -5,12 +5,9 @@ import pytest
 
 from repro.channel import ChannelModel, FadingProfile
 from repro.core import (
-    AggregationPolicy,
-    AggregationQueue,
     CarpoolReceiver,
     CarpoolTransmitter,
     MacAddress,
-    QueuedFrame,
     SubframeSpec,
 )
 from repro.mac import (
@@ -21,7 +18,11 @@ from repro.mac import (
     FixedFerModel,
     WlanSimulator,
 )
+from repro.mac.engine import AP_NAME
+from repro.mac.frames import MacFrame
+from repro.mac.node import Node
 from repro.mac.protocols.base import AggregationLimits
+from repro.mac.protocols.multi_receiver import select_multi_receiver_batch
 from repro.mac.scenarios import VoipScenario
 from repro.phy import PhyReceiver, PhyTransmitter, mcs_by_name
 from repro.traffic import merge_arrivals, voip_downlink_arrivals, voip_uplink_arrivals
@@ -32,28 +33,31 @@ class TestQueueToAirPipeline:
     """AP queueing policy → Carpool frame → channel → every receiver."""
 
     def test_aggregation_batch_becomes_decodable_frame(self):
-        queue = AggregationQueue(AggregationPolicy(max_latency=0.01))
-        macs = [MacAddress.from_int(i) for i in range(4)]
+        ap = Node(AP_NAME, DEFAULT_PARAMETERS, RngStream(0).child(AP_NAME),
+                  is_ap=True)
+        macs = {f"sta{i}": MacAddress.from_int(i) for i in range(4)}
         rng = np.random.default_rng(0)
         payloads = {}
-        for i, mac in enumerate(macs):
+        for i, name in enumerate(macs):
             size = 150 + 100 * i
-            payloads[mac] = bytes(rng.integers(0, 256, size, dtype=np.uint8))
-            queue.enqueue(QueuedFrame(enqueue_time=0.0, receiver=mac, size_bytes=size))
-        batch = queue.build_batch(now=0.02)
-        assert batch.num_receivers == 4
+            payloads[name] = bytes(rng.integers(0, 256, size, dtype=np.uint8))
+            ap.enqueue(MacFrame(destination=name, size_bytes=size,
+                                arrival_time=0.0))
+        batch = select_multi_receiver_batch(
+            ap, AggregationLimits(max_latency=0.01))
+        assert len(batch) == 4
 
         specs = [
-            SubframeSpec(mac, payloads[mac], mcs_by_name("QAM16-1/2"))
-            for mac in batch.receivers
+            SubframeSpec(macs[name], payloads[name], mcs_by_name("QAM16-1/2"))
+            for name in batch
         ]
         frame = CarpoolTransmitter(coded=True).build_frame(specs)
         channel = ChannelModel(snr_db=30, rng=RngStream(1))
         received = channel.transmit(frame.symbols)
-        for mac in macs:
+        for name, mac in macs.items():
             result = CarpoolReceiver(mac, coded=True).receive(received)
             assert len(result.matched_positions) >= 1
-            assert result.payload_for(result.matched_positions[0]) == payloads[mac]
+            assert result.payload_for(result.matched_positions[0]) == payloads[name]
 
 
 class TestStandardVsCarpoolOnSameChannel:
