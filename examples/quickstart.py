@@ -14,13 +14,13 @@ import numpy as np
 
 from repro.channel import ChannelModel
 from repro.core import (
-    AckTiming,
     CarpoolReceiver,
     CarpoolTransmitter,
     MacAddress,
-    SequentialAckPlan,
     SubframeSpec,
 )
+from repro.mac.airtime import ack_airtime
+from repro.mac.parameters import DEFAULT_PARAMETERS
 from repro.phy import mcs_by_name
 from repro.util.rng import RngStream
 
@@ -62,13 +62,14 @@ def main():
               f"RTE updates: {sf.rte_updates}, "
               f"symbol-CRC pass rate: {sf.crc_pass.mean():.0%}")
 
-    # Sequential ACK schedule (Eq. 1/2): one slot per receiver.
-    timing = AckTiming(ack_duration=44e-6, sifs=10e-6)
-    plan = SequentialAckPlan(len(stations), timing)
+    # Sequential ACK schedule (Eq. 1/2): one SIFS + ACK slot per receiver.
+    sifs = DEFAULT_PARAMETERS.sifs
+    slot = sifs + ack_airtime(DEFAULT_PARAMETERS)
     print("\nSequential ACK timetable (after end of data frame):")
     for i, mac in enumerate(stations):
-        print(f"  {mac}: ACK at t+{plan.ack_start_time(i) * 1e6:.0f} µs, "
-              f"NAV in ACK = {plan.ack_nav(i) * 1e6:.0f} µs")
+        remaining = len(stations) - 1 - i
+        print(f"  {mac}: ACK at t+{(sifs + i * slot) * 1e6:.0f} µs, "
+              f"NAV in ACK = {remaining * slot * 1e6:.0f} µs")
 
 
 if __name__ == "__main__":

@@ -8,15 +8,15 @@ CSMA/CA MAC simulator with all baseline protocols, and trace-statistics
 traffic models.
 
 Packages:
-    repro.core     — Carpool itself: A-HDR, side channel, RTE, sequential
-                     ACK, energy model.
+    repro.core     — Carpool itself: A-HDR, side channel, RTE, energy
+                     model.
     repro.phy      — OFDM PHY: modulation, coding, interleaving, preamble,
                      SIG, pilots, channel estimation, CFO, transceivers.
     repro.channel  — fading/AWGN/CFO/SFO link models, power calibration.
     repro.bloom    — (positional) Bloom filters.
     repro.mac      — CSMA/CA simulator, protocols, scenarios, metrics.
     repro.traffic  — VoIP (Brady), SIGCOMM/library trace synthesizers.
-    repro.analysis — measurement harness and statistics.
+    repro.analysis — measurement harness.
     repro.util     — seeded RNG trees, bit packing, units.
 """
 

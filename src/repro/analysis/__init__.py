@@ -1,4 +1,4 @@
-"""Measurement harness and statistics for the reproduction experiments."""
+"""Measurement harness for the reproduction experiments."""
 
 from repro.analysis.calibration import calibrate_error_model, symbol_failure_from_ber
 from repro.analysis.degradation import (
@@ -23,7 +23,6 @@ from repro.analysis.deployment_sweep import (
 )
 from repro.analysis.efficiency import carpool_exchange, mac_efficiency, single_frame_exchange
 from repro.analysis.location_sweep import LocationSweepResult, ber_across_locations
-from repro.analysis.stats import empirical_cdf, geometric_mean, mean_confidence_interval
 from repro.analysis.testbed import Location, OfficeTestbed
 
 __all__ = [
@@ -39,9 +38,6 @@ __all__ = [
     "ber_by_symbol_index",
     "data_ber_with_side_channel",
     "side_channel_vs_data_ber",
-    "empirical_cdf",
-    "geometric_mean",
-    "mean_confidence_interval",
     "Location",
     "OfficeTestbed",
     "carpool_exchange",

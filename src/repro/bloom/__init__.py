@@ -1,11 +1,9 @@
 """Bloom filters: the data structure behind Carpool's aggregation header."""
 
-from repro.bloom.bloom_filter import BloomFilter
 from repro.bloom.coded import PositionalBloomFilter, false_positive_ratio, optimal_num_hashes
 from repro.bloom.hashing import HashSet, hash_positions
 
 __all__ = [
-    "BloomFilter",
     "PositionalBloomFilter",
     "false_positive_ratio",
     "optimal_num_hashes",

@@ -2,9 +2,9 @@
 
 Multi-receiver PHY frame aggregation (A-HDR Bloom-filter header), the
 phase-offset side channel with per-symbol CRC, real-time channel estimation
-(RTE), sequential ACK and the energy model. The AP's batch-selection
-rule runs in the MAC
-(:func:`repro.mac.protocols.multi_receiver.select_multi_receiver_batch`).
+(RTE) and the energy model. The AP's batch-selection rule
+(:func:`repro.mac.protocols.multi_receiver.select_multi_receiver_batch`)
+and the sequential ACK's airtime (:mod:`repro.mac.airtime`) live in the MAC.
 """
 
 from repro.core.ahdr import (
@@ -39,7 +39,6 @@ from repro.core.receiver import (
     decode_subframe_symbols,
 )
 from repro.core.rte import HARDENED_GUARD, UPDATE_RULES, RealTimeEstimator, RteGuard
-from repro.core.sequential_ack import AckTiming, SequentialAckPlan
 from repro.core.side_channel import (
     ONE_BIT_SCHEME,
     SCHEMES,
@@ -92,8 +91,6 @@ __all__ = [
     "RealTimeEstimator",
     "RteGuard",
     "HARDENED_GUARD",
-    "AckTiming",
-    "SequentialAckPlan",
     "ONE_BIT_SCHEME",
     "TWO_BIT_SCHEME",
     "SCHEMES",

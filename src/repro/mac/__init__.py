@@ -20,7 +20,6 @@ from repro.mac.parameters import DEFAULT_PARAMETERS, PhyMacParameters
 from repro.mac.association import ApAssociationService, AssocRequest, AssocResponse, Beacon
 from repro.mac.block_ack import BLOCK_ACK_WINDOW, BlockAck, ReorderScoreboard, missing_sequences
 from repro.mac.frame_formats import AckFrame, CtsFrame, DataFrame, RtsFrame, parse_frame
-from repro.mac.nav import NavCounter, simulate_ack_train
 from repro.mac.fairness import FairCarpoolProtocol, TimeOccupancyTable
 from repro.mac.protocols.carpool_mixed import CarpoolMixedProtocol
 from repro.mac.protocols.fallback import FallbackCarpoolProtocol
@@ -77,8 +76,6 @@ __all__ = [
     "RtsFrame",
     "CtsFrame",
     "parse_frame",
-    "NavCounter",
-    "simulate_ack_train",
     "ApAssociationService",
     "AssocRequest",
     "AssocResponse",

@@ -497,13 +497,10 @@ class WlanSimulator:
     def _apply_ack_faults(self, transmission, decoded: list) -> list:
         """Overlay ACK loss; model the sequential-ACK desync failure mode.
 
-        Each decoded subframe's ACK is lost independently. In a
-        multi-receiver sequence, the naive AP matches ACKs to subframes
-        *ordinally*: the first injected gap desynchronises the remainder,
-        so every later subframe is conservatively treated as lost. With
-        ``sequential_ack_recovery`` the AP matches ACKs to slots by
-        timestamp (:meth:`SequentialAckPlan.match_ack_to_subframe`) and a
-        lost ACK costs only its own subframe.
+        Each decoded subframe's ACK is lost independently. With
+        ``sequential_ack_recovery`` the AP loses only the subframe whose
+        ACK was lost. Without it, in a multi-receiver sequence, every
+        subframe from the first gap on counts as lost.
         """
         acked = list(decoded)
         first_gap = None

@@ -130,11 +130,6 @@ class DataFrame:
             sequence=seq_ctl >> 4,
         )
 
-    @property
-    def overhead_bytes(self) -> int:
-        """Header + FCS bytes around the payload."""
-        return 24 + 4  # header + FCS
-
 
 @dataclass(frozen=True)
 class AckFrame:

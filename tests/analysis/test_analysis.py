@@ -6,9 +6,6 @@ from repro.analysis import (
     ber_by_symbol_index,
     calibrate_error_model,
     data_ber_with_side_channel,
-    empirical_cdf,
-    geometric_mean,
-    mean_confidence_interval,
     side_channel_vs_data_ber,
     symbol_failure_from_ber,
 )
@@ -23,36 +20,6 @@ CLEAN = LinkConfig(
     sfo_ppm=0.0,
     symbol_duration=4e-6,
 )
-
-
-class TestStats:
-    def test_mean_ci(self):
-        mean, half = mean_confidence_interval([1.0, 2.0, 3.0])
-        assert mean == pytest.approx(2.0)
-        assert half > 0
-
-    def test_single_sample(self):
-        assert mean_confidence_interval([5.0]) == (5.0, 0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([])
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-    def test_unknown_confidence_rejected(self):
-        with pytest.raises(ValueError):
-            mean_confidence_interval([1, 2], confidence=0.5)
-
-    def test_empirical_cdf(self):
-        xs, ps = empirical_cdf([3, 1, 2, 2])
-        assert xs.tolist() == [1, 2, 2, 3]
-        assert ps[-1] == 1.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([-1.0, 2.0])
 
 
 class TestLinkConfig:

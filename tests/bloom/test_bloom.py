@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom import (
-    BloomFilter,
     HashSet,
     PositionalBloomFilter,
     false_positive_ratio,
@@ -41,46 +40,6 @@ class TestHashing:
             hash_positions(b"k", 0, 4, 0)
         with pytest.raises(ValueError):
             HashSet(-1, 4, 48)
-
-
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bf = BloomFilter(48, 4)
-        keys = [b"sta%d" % i for i in range(8)]
-        for key in keys:
-            bf.insert(key)
-        for key in keys:
-            assert key in bf
-
-    def test_empty_contains_nothing(self):
-        bf = BloomFilter(48, 4)
-        assert b"anything" not in bf
-
-    def test_fill_ratio(self):
-        bf = BloomFilter(48, 4)
-        assert bf.fill_ratio() == 0.0
-        bf.insert(b"a")
-        assert 0 < bf.fill_ratio() <= 4 / 48
-
-    def test_from_bits_round_trip(self):
-        bf = BloomFilter(48, 4)
-        bf.insert(b"x")
-        clone = BloomFilter.from_bits(bf.bits, 4)
-        assert b"x" in clone
-
-    def test_len_counts_insertions(self):
-        bf = BloomFilter(48, 4)
-        bf.insert(b"a")
-        bf.insert(b"a")
-        assert len(bf) == 2
-
-    @given(st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=8, unique=True))
-    @settings(max_examples=30, deadline=None)
-    def test_property_no_false_negatives(self, keys):
-        bf = BloomFilter(48, 4)
-        for key in keys:
-            bf.insert(key)
-        assert all(key in bf for key in keys)
 
 
 class TestPositionalBloom:

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mac_address import MacAddress
-from repro.core.sequential_ack import AckTiming
 from repro.mac.frame_formats import (
     AckFrame,
     CtsFrame,
@@ -15,12 +14,10 @@ from repro.mac.frame_formats import (
     encode_duration,
     parse_frame,
 )
-from repro.mac.nav import NavCounter, simulate_ack_train
 
 A = MacAddress.from_int(1)
 B = MacAddress.from_int(2)
 BSS = MacAddress.from_int(99)
-TIMING = AckTiming(ack_duration=44e-6, sifs=10e-6)
 
 
 class TestDuration:
@@ -91,50 +88,3 @@ class TestFrames:
         _, parsed = parse_frame(frame.to_bytes())
         assert parsed.payload == payload
         assert parsed.sequence == seq
-
-
-class TestNavCounter:
-    def test_initially_idle(self):
-        assert not NavCounter().busy(0.0)
-
-    def test_reservation_blocks(self):
-        nav = NavCounter()
-        nav.update(1.0, 0.5)
-        assert nav.busy(1.2)
-        assert not nav.busy(1.6)
-
-    def test_only_extends_forward(self):
-        nav = NavCounter()
-        nav.update(0.0, 1.0)
-        nav.update(0.1, 0.2)  # shorter reservation must not truncate
-        assert nav.idle_at() == pytest.approx(1.0)
-
-    def test_reset(self):
-        nav = NavCounter()
-        nav.update(0.0, 1.0)
-        nav.reset()
-        assert not nav.busy(0.5)
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            NavCounter().update(0.0, -1.0)
-
-
-class TestAckTrain:
-    @pytest.mark.parametrize("n", [1, 3, 8])
-    def test_no_overlaps(self, n):
-        result = simulate_ack_train(n, payload_duration=500e-6, timing=TIMING)
-        assert result.overlaps == 0
-
-    def test_bystander_blocked_through_whole_train(self):
-        """The data frame's Eq.-1 NAV keeps third parties silent until the
-        last ACK finishes."""
-        n = 4
-        result = simulate_ack_train(n, payload_duration=500e-6, timing=TIMING)
-        last_ack_end = max(e.time for e in result.events if e.kind == "ack-end")
-        assert result.bystander_blocked_until >= last_ack_end
-
-    def test_event_count(self):
-        result = simulate_ack_train(3, payload_duration=1e-4, timing=TIMING)
-        assert sum(e.kind == "ack-start" for e in result.events) == 3
-        assert sum(e.kind == "data-start" for e in result.events) == 1

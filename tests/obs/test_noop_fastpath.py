@@ -47,7 +47,6 @@ def _traced(tmp_path, fn):
     with ObsSession(trace_path=tmp_path / "run.jsonl", metrics_on=True) as session:
         result = fn()
     assert len(session.recorder) > 0
-    assert len(session.registry) > 0
     return result
 
 

@@ -11,7 +11,6 @@ from repro.core import (
     MacAddress,
     SubframeSpec,
 )
-from repro.core.sequential_ack import AckTiming, SequentialAckPlan
 from repro.core.side_channel import ONE_BIT_SCHEME, TWO_BIT_SCHEME
 from repro.mac.frames import MacFrame
 from repro.mac.node import Node
@@ -20,8 +19,6 @@ from repro.mac.protocols.base import AggregationLimits
 from repro.mac.protocols.multi_receiver import select_multi_receiver_batch
 from repro.phy import PhyReceiver, PhyTransmitter, MCS_TABLE
 from repro.util.rng import RngStream
-
-TIMING = AckTiming(ack_duration=44e-6, sifs=10e-6)
 
 
 class TestPhyPipelineProperties:
@@ -73,22 +70,6 @@ class TestSideChannelProperties:
         measured = np.angle(np.exp(1j * (injected + drift)))
         decoded = scheme.decode_phases(measured, reference_phase=0.0)
         np.testing.assert_array_equal(decoded, bits)
-
-
-class TestSequentialAckProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 8))
-    def test_nav_consistency(self, n):
-        """Eq. (1) equals the actual end of the ACK sequence, the last ACK
-        carries NAV 0, and slots never overlap — for every receiver count."""
-        plan = SequentialAckPlan(n, TIMING)
-        assert plan.nav_data(0.0) == pytest.approx(plan.sequence_duration())
-        assert plan.ack_nav(n - 1) == 0.0
-        for i in range(n - 1):
-            assert plan.ack_end_time(i) < plan.ack_start_time(i + 1)
-            # Each ACK's NAV covers exactly the remaining sequence.
-            remaining = plan.sequence_duration() - plan.ack_end_time(i)
-            assert plan.ack_nav(i) == pytest.approx(remaining)
 
 
 class TestAggregationProperties:
