@@ -12,6 +12,11 @@ from repro.core.side_channel import ONE_BIT_SCHEME, TWO_BIT_SCHEME
 from repro.core.symbol_crc import SymbolCrcConfig
 
 TRIALS = 25
+PAPER_CHOICE = ("2-bit", 1)
+
+
+def _checksum(scheme: str, granularity: int) -> str:
+    return f"CRC-{granularity * (1 if scheme == '1-bit' else 2)}"
 
 
 def _run():
@@ -39,21 +44,29 @@ def test_sec5_crc_granularity(benchmark):
     rows = []
     for (scheme, granularity), result in results.items():
         rows.append([
-            scheme, granularity, f"CRC-{granularity * (1 if scheme == '1-bit' else 2)}",
+            scheme, granularity, _checksum(scheme, granularity),
             fmt_ber(result.mean_ber), f"{result.crc_pass_rate:.2f}",
         ])
     report.table(["scheme", "symbols/group", "checksum", "mean BER", "CRC pass"], rows)
-    paper_choice = results[("2-bit", 1)].mean_ber
+    paper_choice = results[PAPER_CHOICE].mean_ber
     best_key = min(results, key=lambda k: results[k].mean_ber)
     best = results[best_key].mean_ber
+    if best_key == PAPER_CHOICE:
+        note = "The paper's choice wins here too."
+    else:
+        note = (
+            f"Deviation note: in our simulated channel, {_checksum(*best_key)} "
+            f"over {best_key[1]} symbol(s) with the {best_key[0]} scheme "
+            f"(CRC pass {results[best_key].crc_pass_rate:.2f}) edges out "
+            f"CRC-2/symbol (CRC pass {results[PAPER_CHOICE].crc_pass_rate:.2f}); "
+            "the trade-off is environment-dependent, exactly why the paper "
+            "settled it by measurement."
+        )
     report.line()
     report.line(
         f"best scheme here: {best_key[0]} × {best_key[1]} sym/group "
         f"({fmt_ber(best)}); paper's choice (2-bit × 1): {fmt_ber(paper_choice)}. "
-        "Deviation note: in our simulated channel, longer checksums "
-        "(CRC-4 over 2 symbols) edge out CRC-2/symbol because they suppress "
-        "more CRC false passes; the trade-off is environment-dependent, "
-        "exactly why the paper settled it by measurement."
+        + note
     )
     report.save_and_print("sec5_crc_granularity")
 

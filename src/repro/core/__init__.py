@@ -59,8 +59,6 @@ from repro.core.mimo import (
     MuMimoFrameLayout,
     transmissions_required,
 )
-from repro.core.mac_payload import pack_mpdus, unpack_mpdus
-from repro.core.transport import CarpoolLink, DeliveryReport, StationEndpoint
 from repro.core.symbol_crc import DEFAULT_CRC_CONFIG, SymbolCrcConfig, crc_checksum_bits
 
 __all__ = [
@@ -108,9 +106,4 @@ __all__ = [
     "MuMimoCarpoolTransmitter",
     "MuMimoFrameLayout",
     "transmissions_required",
-    "pack_mpdus",
-    "unpack_mpdus",
-    "CarpoolLink",
-    "DeliveryReport",
-    "StationEndpoint",
 ]

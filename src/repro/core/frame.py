@@ -121,12 +121,10 @@ class CarpoolTransmitter:
         coded: bool = True,
         crc_config: SymbolCrcConfig = DEFAULT_CRC_CONFIG,
         inject_side_channel: bool = True,
-        scrambler_seed: int = 0b1011101,
     ):
         self.coded = coded
         self.crc_config = crc_config
         self.inject_side_channel = inject_side_channel
-        self.scrambler_seed = scrambler_seed
 
     def build_frame(self, specs: list) -> CarpoolTxFrame:
         """Aggregate one subframe per spec into a single Carpool frame.
@@ -154,7 +152,7 @@ class CarpoolTransmitter:
             pilot_index += 1
 
             bit_matrix = payload_codec.encode_payload_bits(
-                spec.payload, spec.mcs, self.coded, self.scrambler_seed
+                spec.payload, spec.mcs, self.coded
             )
             n_payload = bit_matrix.shape[0]
             if self.inject_side_channel:

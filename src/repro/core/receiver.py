@@ -128,9 +128,7 @@ def decode_subframe_symbols(
             (defaults to the per-subcarrier-only legacy guard).
 
     Returns:
-        (bit_matrix, side_bits, crc_pass, phases, estimator, equalized)
-        where ``equalized`` holds the phase-compensated equalized symbols
-        (for soft decoding or constellation inspection).
+        (bit_matrix, side_bits, crc_pass, phases, estimator)
     """
     received = np.asarray(received, dtype=np.complex128)
     n_symbols = received.shape[0]
@@ -140,7 +138,7 @@ def decode_subframe_symbols(
     if not use_rte:
         # The estimate never changes without RTE (CRC failures only bump a
         # counter), so the frame decodes as a stack of one.
-        bit_matrix, side_bits, crc_pass, phases, equalized = (
+        bit_matrix, side_bits, crc_pass, phases, _ = (
             decode_subframe_symbols_frozen_batch(
                 received[None], estimator.estimate[None], mcs,
                 first_pilot_index, np.array([reference_phase]), crc_config,
@@ -148,15 +146,13 @@ def decode_subframe_symbols(
         )
         estimator.skips = crc_config.num_groups(n_symbols) - int(
             crc_pass[0, ::crc_config.granularity].sum())
-        return (bit_matrix[0], side_bits[0], crc_pass[0], phases[0],
-                estimator, equalized[0])
+        return bit_matrix[0], side_bits[0], crc_pass[0], phases[0], estimator
     rec = active_recorder()
 
     bit_matrix = np.empty((n_symbols, mcs.coded_bits_per_symbol), dtype=np.uint8)
     side_bits = np.zeros((n_symbols, scheme.bits_per_symbol), dtype=np.uint8)
     crc_pass = np.zeros(n_symbols, dtype=bool)
     phases = np.empty(n_symbols)
-    equalized = np.empty((n_symbols, 52), dtype=np.complex128)
     prev_phase = reference_phase
 
     group: list = []  # (symbol_idx, derotated_rx, equalized) of current CRC group
@@ -164,7 +160,6 @@ def decode_subframe_symbols(
         eq = equalize(received[i], estimator.estimate)
         eq, phase = track_and_compensate(eq, first_pilot_index + i)
         phases[i] = phase
-        equalized[i] = eq
 
         data_points, _ = split_symbol(eq)
         bit_matrix[i] = mcs.modulation.demodulate(data_points)
@@ -204,7 +199,7 @@ def decode_subframe_symbols(
             estimator.skip()
         group = []
 
-    return bit_matrix, side_bits, crc_pass, phases, estimator, equalized
+    return bit_matrix, side_bits, crc_pass, phases, estimator
 
 
 def decode_subframe_symbols_frozen_batch(
@@ -273,22 +268,13 @@ class CarpoolReceiver:
         coded: bool = True,
         crc_config: SymbolCrcConfig = DEFAULT_CRC_CONFIG,
         use_rte: bool = True,
-        rte_rule="average",
-        rte_guard=None,
         decode_all: bool = False,
-        scrambler_seed: int = 0b1011101,
-        soft: bool = False,
     ):
         self.mac = mac
         self.coded = coded
         self.crc_config = crc_config
         self.use_rte = use_rte
-        self.rte_rule = rte_rule
-        self.rte_guard = rte_guard
         self.decode_all = decode_all
-        self.scrambler_seed = scrambler_seed
-        # Soft (LLR) Viterbi for the payload; applies to the coded chain.
-        self.soft = soft and coded
 
     def receive(self, received_symbols: np.ndarray) -> CarpoolRxResult:
         """Process one received Carpool frame (frequency-domain symbols)."""
@@ -336,7 +322,7 @@ class CarpoolReceiver:
             if matched:
                 result.matched_positions.append(position)
             if matched or self.decode_all:
-                bit_matrix, side_bits, crc_pass, phases, estimator, eq_symbols = decode_subframe_symbols(
+                bit_matrix, side_bits, crc_pass, phases, estimator = decode_subframe_symbols(
                     derotated[cursor + 1 : payload_end],
                     running_estimate,
                     sig.mcs,
@@ -344,22 +330,10 @@ class CarpoolReceiver:
                     reference_phase=sig_phase,
                     crc_config=self.crc_config,
                     use_rte=self.use_rte,
-                    rte_rule=self.rte_rule,
-                    rte_guard=self.rte_guard,
                 )
-                if self.soft and self.coded:
-                    from repro.phy.soft import decode_payload_soft
-
-                    payload = decode_payload_soft(
-                        eq_symbols, estimator.estimate, sig.length_bytes,
-                        sig.mcs, noise_variance=front.noise_variance,
-                        scrambler_seed=self.scrambler_seed,
-                    )
-                else:
-                    payload = payload_codec.decode_payload_bits(
-                        bit_matrix, sig.length_bytes, sig.mcs, self.coded,
-                        self.scrambler_seed,
-                    )
+                payload = payload_codec.decode_payload_bits(
+                    bit_matrix, sig.length_bytes, sig.mcs, self.coded
+                )
                 result.subframes.append(
                     SubframeRx(
                         position=position,

@@ -18,7 +18,6 @@ from repro.mac.metrics import MetricsCollector, MetricsSummary
 from repro.mac.node import Node
 from repro.mac.parameters import DEFAULT_PARAMETERS, PhyMacParameters
 from repro.mac.association import ApAssociationService, AssocRequest, AssocResponse, Beacon
-from repro.mac.block_ack import BLOCK_ACK_WINDOW, BlockAck, ReorderScoreboard, missing_sequences
 from repro.mac.frame_formats import AckFrame, CtsFrame, DataFrame, RtsFrame, parse_frame
 from repro.mac.fairness import FairCarpoolProtocol, TimeOccupancyTable
 from repro.mac.protocols.carpool_mixed import CarpoolMixedProtocol
@@ -80,10 +79,6 @@ __all__ = [
     "AssocRequest",
     "AssocResponse",
     "Beacon",
-    "BLOCK_ACK_WINDOW",
-    "BlockAck",
-    "ReorderScoreboard",
-    "missing_sequences",
     "RateTable",
     "select_mcs",
     "VoipScenario",

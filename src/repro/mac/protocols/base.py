@@ -48,7 +48,7 @@ class AggregationLimits:
 
     ``max_subframe_bytes`` reflects Carpool's 12-bit SIG LENGTH field: one
     subframe carries at most 4095 bytes (§4.1's frame structure).
-    ``max_mpdus`` is 802.11n's BlockAck window: an A-MPDU carries at most
+    ``max_mpdus`` is 802.11n's Block Ack window: an A-MPDU carries at most
     64 MPDUs regardless of byte budget.
     """
 

@@ -30,5 +30,5 @@ class MuAggregationProtocol(MultiReceiverProtocol):
     header_symbols = 0
     subframe_header_symbols = 0
     subframe_header_bytes = SUBFRAME_MAC_HEADER_BYTES
-    # One BlockAck window shared across all receivers of the aggregate.
+    # One Block Ack window shared across all receivers of the aggregate.
     max_total_frames = 64

@@ -29,9 +29,9 @@ def select_multi_receiver_batch(node: Node, limits: AggregationLimits,
     Delay-sensitive frames first, then FIFO — the §8 priority rule. The
     first frame always ships so an oversized head can never wedge the
     queue. Per-subframe limits honour the 12-bit SIG LENGTH
-    (``max_subframe_bytes``) and the per-receiver BlockAck window
+    (``max_subframe_bytes``) and the per-receiver Block Ack window
     (``max_mpdus``); ``max_total_frames`` additionally caps the whole
-    aggregate (MU-Aggregation shares one BlockAck window across receivers).
+    aggregate (MU-Aggregation shares one Block Ack window across receivers).
     Returns destination → [frames] in subframe order.
     """
     ordered = sorted(node.queue, key=selection_key)
@@ -78,7 +78,7 @@ class MultiReceiverProtocol(Protocol):
     subframe_header_symbols: int = 0
     subframe_header_bytes: int = 0
     #: Cap on frames per aggregate, across receivers (None = per-subframe
-    #: limits only). MU-Aggregation shares one BlockAck window.
+    #: limits only). MU-Aggregation shares one Block Ack window.
     max_total_frames: int | None = None
 
     def ready_time(self, ap: Node, now: float) -> float:

@@ -22,7 +22,6 @@ from repro.phy.crc import crc1_bits, crc2_bits, crc8_bits, crc32, crc32_bits
 from repro.phy.mcs import BASIC_MCS, MCS_TABLE, Mcs, mcs_by_name, mcs_by_rate_bits
 from repro.phy.modulation import BPSK, MODULATIONS, QAM16, QAM64, QPSK, Modulation, get_modulation
 from repro.phy.sig import SigDecodeError, SigField, decode_sig, encode_sig
-from repro.phy.soft import decode_payload_soft, soft_demodulate, viterbi_decode_soft
 from repro.phy.timedomain import (
     TimeDomainChannel,
     coarse_cfo_estimate,
@@ -88,7 +87,4 @@ __all__ = [
     "detect_frame",
     "frame_to_samples",
     "samples_to_symbols",
-    "soft_demodulate",
-    "viterbi_decode_soft",
-    "decode_payload_soft",
 ]

@@ -28,7 +28,6 @@ class Acquisition:
     channel_estimate: np.ndarray  # length-52 LTF estimate
     cfo_hz: float
     cfo_phase_step: float
-    noise_variance: float = 0.0  # per-subcarrier, from the LTF repetition
 
 
 def acquire(received_symbols: np.ndarray, symbol_duration: float | None = None) -> Acquisition:
@@ -52,15 +51,9 @@ def acquire(received_symbols: np.ndarray, symbol_duration: float | None = None) 
         cfo_hz = cfo_from_phase_step(phase_step)
     else:
         cfo_hz = cfo_from_phase_step(phase_step, symbol_duration)
-    # The two (de-rotated) LTF repeats differ only by noise: their
-    # half-difference power estimates the per-subcarrier noise variance,
-    # which the soft demapper uses for LLR scaling.
-    diff = derotated[LTF_SLOTS[1]] - derotated[LTF_SLOTS[0]]
-    noise_variance = float(np.mean(np.abs(diff) ** 2) / 2.0)
     return Acquisition(
         derotated=derotated,
         channel_estimate=channel,
         cfo_hz=cfo_hz,
         cfo_phase_step=phase_step,
-        noise_variance=noise_variance,
     )

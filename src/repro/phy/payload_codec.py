@@ -54,8 +54,7 @@ def num_payload_symbols(payload_bytes: int, mcs: Mcs, coded: bool = True) -> int
     return -(-total_bits // per_symbol)
 
 
-def encode_payload_bits(payload: bytes, mcs: Mcs, coded: bool = True,
-                        scrambler_seed: int = 0b1011101) -> np.ndarray:
+def encode_payload_bits(payload: bytes, mcs: Mcs, coded: bool = True) -> np.ndarray:
     """Encode payload bytes into a per-symbol bit matrix ready for mapping.
 
     Returns shape (n_symbols, N_CBPS) — the bits that land on the data
@@ -74,7 +73,7 @@ def encode_payload_bits(payload: bytes, mcs: Mcs, coded: bool = True,
     data = np.concatenate([np.zeros(SERVICE_BITS, dtype=np.uint8), raw])
     padded = np.zeros(n_symbols * n_dbps, dtype=np.uint8)
     padded[: data.size] = data
-    scrambled = scramble(padded, scrambler_seed)
+    scrambled = scramble(padded)
     # Tail bits are zeroed *after* scrambling so the decoder trellis terminates.
     tail_start = data.size
     scrambled[tail_start : tail_start + TAIL_BITS] = 0
@@ -84,7 +83,7 @@ def encode_payload_bits(payload: bytes, mcs: Mcs, coded: bool = True,
 
 
 def decode_payload_bits(bit_matrix: np.ndarray, payload_len: int, mcs: Mcs,
-                        coded: bool = True, scrambler_seed: int = 0b1011101) -> bytes:
+                        coded: bool = True) -> bytes:
     """Invert :func:`encode_payload_bits` back to payload bytes.
 
     ``bit_matrix`` is the received per-symbol hard bits; decoding errors are
@@ -102,7 +101,7 @@ def decode_payload_bits(bit_matrix: np.ndarray, payload_len: int, mcs: Mcs,
     decoded = viterbi_decode(
         deint.reshape(-1), n_symbols * n_dbps, mcs.code_rate, terminated=False
     )
-    descrambled = descramble(decoded, scrambler_seed)
+    descrambled = descramble(decoded)
     payload_bits = descrambled[SERVICE_BITS : SERVICE_BITS + 8 * payload_len]
     return bits_to_bytes(payload_bits)
 

@@ -15,10 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["scramble", "descramble", "scrambler_sequence"]
+__all__ = ["SCRAMBLER_SEED", "scramble", "descramble", "scrambler_sequence"]
 
 _ORDER = 7
 _PERIOD = (1 << _ORDER) - 1  # maximal-length LFSR: period 127 for any seed
+
+#: The initial LFSR state every payload is scrambled with: the example
+#: seed from the standard's Annex (state bit 6 is x^7).
+SCRAMBLER_SEED = 0b1011101
 
 
 @lru_cache(maxsize=None)
@@ -34,11 +38,10 @@ def _one_period(seed: int) -> np.ndarray:
     return out
 
 
-def scrambler_sequence(length: int, seed: int = 0b1011101) -> np.ndarray:
+def scrambler_sequence(length: int, seed: int = SCRAMBLER_SEED) -> np.ndarray:
     """Generate ``length`` bits of the x^7 + x^4 + 1 LFSR output.
 
-    ``seed`` is the initial 7-bit state, state bit 6 being x^7. The default
-    is the all-ones-adjacent example seed from the standard's Annex; any
+    ``seed`` is the initial 7-bit state, state bit 6 being x^7; any
     non-zero 7-bit value is legal. The LFSR is maximal-length (period 127),
     so one cached period per seed is tiled to any requested length.
     """
@@ -51,12 +54,12 @@ def scrambler_sequence(length: int, seed: int = 0b1011101) -> np.ndarray:
     return np.tile(base, repeats)[:length]
 
 
-def scramble(bits: np.ndarray, seed: int = 0b1011101) -> np.ndarray:
+def scramble(bits: np.ndarray, seed: int = SCRAMBLER_SEED) -> np.ndarray:
     """XOR ``bits`` with the scrambler sequence."""
     bits = np.asarray(bits, dtype=np.uint8)
     return bits ^ scrambler_sequence(bits.size, seed)
 
 
-def descramble(bits: np.ndarray, seed: int = 0b1011101) -> np.ndarray:
+def descramble(bits: np.ndarray, seed: int = SCRAMBLER_SEED) -> np.ndarray:
     """Inverse of :func:`scramble` (same operation, by construction)."""
     return scramble(bits, seed)

@@ -75,7 +75,6 @@ class TxFrame:
     payload_bit_matrix: np.ndarray
     injected_phases: np.ndarray
     coded: bool
-    scrambler_seed: int = 0b1011101
 
     @property
     def n_payload_symbols(self) -> int:
@@ -116,10 +115,9 @@ class RxResult:
 class PhyTransmitter:
     """Builds standard single-destination OFDM frames."""
 
-    def __init__(self, mcs: Mcs, coded: bool = True, scrambler_seed: int = 0b1011101):
+    def __init__(self, mcs: Mcs, coded: bool = True):
         self.mcs = mcs
         self.coded = coded
-        self.scrambler_seed = scrambler_seed
 
     def build_frame(self, payload: bytes, phases: np.ndarray | None = None) -> TxFrame:
         """Assemble the full symbol sequence for ``payload``.
@@ -129,9 +127,7 @@ class PhyTransmitter:
         """
         if not payload:
             raise ValueError("payload must be non-empty")
-        bit_matrix = payload_codec.encode_payload_bits(
-            payload, self.mcs, self.coded, self.scrambler_seed
-        )
+        bit_matrix = payload_codec.encode_payload_bits(payload, self.mcs, self.coded)
         n_payload = bit_matrix.shape[0]
         if phases is None:
             phases = np.zeros(n_payload)
@@ -154,33 +150,20 @@ class PhyTransmitter:
             payload_bit_matrix=bit_matrix,
             injected_phases=np.asarray(phases, dtype=np.float64),
             coded=self.coded,
-            scrambler_seed=self.scrambler_seed,
         )
 
 
 class PhyReceiver:
-    """The standard receiver: preamble-only channel estimation.
+    """The standard receiver: preamble-only channel estimation."""
 
-    ``soft=True`` routes coded payloads through the LLR demapper and the
-    soft-input Viterbi (≈2 dB better than hard decisions, and resilient
-    to per-subcarrier fades via |H|²/σ² reliability weighting).
-    """
-
-    def __init__(self, coded: bool = True, scrambler_seed: int = 0b1011101,
-                 soft: bool = False):
+    def __init__(self, coded: bool = True):
         self.coded = coded
-        self.scrambler_seed = scrambler_seed
-        self.soft = soft
-        if soft and not coded:
-            raise ValueError("soft decoding applies to the coded chain only")
 
-    def receive(self, received_symbols: np.ndarray, payload_len: int | None = None) -> RxResult:
+    def receive(self, received_symbols: np.ndarray) -> RxResult:
         """Decode a received frame (same symbol layout as the transmitter).
 
         Args:
             received_symbols: (n_total, 52) received used-subcarrier vectors.
-            payload_len: Override for the payload length; normally taken
-                from the decoded SIG.
 
         Raises:
             SigDecodeError: If the SIG symbol fails its validity checks.
@@ -196,8 +179,7 @@ class PhyReceiver:
         sig_data, _ = split_symbol(sig_eq)
         sig = decode_sig(sig_data)
 
-        if payload_len is None:
-            payload_len = sig.length_bytes
+        payload_len = sig.length_bytes
         mcs = sig.mcs
         n_payload = payload_codec.num_payload_symbols(payload_len, mcs, self.coded)
         available = received_symbols.shape[0] - PAYLOAD_SYMBOL_OFFSET
@@ -214,18 +196,9 @@ class PhyReceiver:
             equalize(payload_rx, channel), 1
         )
         bit_matrix = payload_codec.symbols_to_bits(equalized, mcs)
-        if self.soft:
-            from repro.phy.soft import decode_payload_soft
-
-            payload = decode_payload_soft(
-                equalized, channel, payload_len, mcs,
-                noise_variance=front.noise_variance,
-                scrambler_seed=self.scrambler_seed,
-            )
-        else:
-            payload = payload_codec.decode_payload_bits(
-                bit_matrix, payload_len, mcs, self.coded, self.scrambler_seed
-            )
+        payload = payload_codec.decode_payload_bits(
+            bit_matrix, payload_len, mcs, self.coded
+        )
         return RxResult(
             payload=payload,
             sig=sig,

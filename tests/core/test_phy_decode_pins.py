@@ -5,8 +5,8 @@ covers the three PHY Monte-Carlo experiments (``ber_by_symbol_index``
 frozen and with RTE under three CRC layouts, one with a partial trailing
 group; ``data_ber_with_side_channel`` with and without injection;
 ``side_channel_vs_data_ber`` for both schemes), a multi-subframe
-``CarpoolReceiver`` that decodes every subframe with a frozen estimate
-(hard and soft), the MU-MIMO receiver and the standard ``PhyReceiver``.
+``CarpoolReceiver`` that decodes every subframe with a frozen estimate,
+the MU-MIMO receiver and the standard ``PhyReceiver``.
 A change to any decode step, to the order of RNG draws or to how trials
 are stacked shows up as a digest change.
 """
@@ -65,7 +65,7 @@ def _ber_case(crc_name, use_rte):
                    result.trials, result.scheme)
 
 
-def _carpool_case(soft):
+def _carpool_case():
     rng = np.random.default_rng(3)
     specs = [
         SubframeSpec(MacAddress.from_int(i),
@@ -81,7 +81,7 @@ def _carpool_case(soft):
                               coherence_time=5e-3))
     received = channel.transmit(frame.symbols)
     result = CarpoolReceiver(MacAddress.from_int(1), use_rte=False,
-                             decode_all=True, soft=soft).receive(received)
+                             decode_all=True).receive(received)
     parts = [result.matched_positions, result.num_subframes_seen,
              result.cfo_hz, result.channel_estimate, result.walk_error]
     for sf in result.subframes:
@@ -120,13 +120,9 @@ def _phy_receiver_case():
         snr_db=20.0, rng=RngStream(6),
         profile=FadingProfile(num_taps=3, ricean_k_db=6.0,
                               coherence_time=5e-3))
-    received = channel.transmit(frame.symbols)
-    parts = []
-    for soft in (False, True):
-        rx = PhyReceiver(coded=True, soft=soft).receive(received)
-        parts += [rx.payload, rx.sig, rx.bit_matrix, rx.symbol_phases,
-                  rx.channel_estimate, rx.cfo_hz, rx.equalized]
-    return _digest(*parts)
+    rx = PhyReceiver(coded=True).receive(channel.transmit(frame.symbols))
+    return _digest(rx.payload, rx.sig, rx.bit_matrix, rx.symbol_phases,
+                   rx.channel_estimate, rx.cfo_hz, rx.equalized)
 
 
 CASES = {
@@ -141,8 +137,7 @@ CASES = {
        (lambda bits=bits: _digest(*side_channel_vs_data_ber(
            bits, 0.02, trials=3, payload_bytes=200)))
        for bits in (1, 2)},
-    "carpool-frozen-hard": lambda: _carpool_case(soft=False),
-    "carpool-frozen-soft": lambda: _carpool_case(soft=True),
+    "carpool-frozen-hard": _carpool_case,
     "mu-mimo": _mimo_case,
     "phy-receiver": _phy_receiver_case,
 }
@@ -162,8 +157,6 @@ PINS = {
         "d749cf1d842844fb0166046aa7b55d345f6977460beb271f917df9933c5b278d",
     "carpool-frozen-hard":
         "6a386d263db38457cd6fe827bbf16329bbb278ead24823a80d1fda9bc8eecc2f",
-    "carpool-frozen-soft":
-        "d3fad7e92140de34f266ba53ae39467cf5294872c4978b4e73948f4d7aabfd8b",
     "data-ber-inject-False":
         "b0547a357e6976aa9661932b49460ca5fa8952fff06d43f0dfe0e4770e5a4fc8",
     "data-ber-inject-True":
@@ -171,7 +164,7 @@ PINS = {
     "mu-mimo":
         "bc6cbc2fd5125fbd1c4d2913a216457a7dd4313f2a756cf78a810f4cdb6934a1",
     "phy-receiver":
-        "0ee2cf274a721bc95d6dcfd4749f4caaf59109c3acc086ae67881cadecada39d",
+        "892499fa52e3b720eaa1e53a6b1c4106bcb19dc4fe44715b0839c7e376d03ae0",
     "side-vs-data-1bit":
         "3c67eefc32436d809c0ca425ca104e671a8f3c0244369c7739216f041165127e",
     "side-vs-data-2bit":

@@ -67,9 +67,3 @@ def test_rate_adaptation_demo(capsys):
     _run("rate_adaptation_demo.py")
     out = capsys.readouterr().out
     assert "QAM64" in out and "BPSK" in out
-
-
-def test_reliable_link_demo(capsys):
-    _run("reliable_link_demo.py")
-    out = capsys.readouterr().out
-    assert "every byte delivered" in out
