@@ -309,7 +309,9 @@ def data_ber_with_side_channel(
 
     The Fig. 11 experiment: identical static-office layouts, standard
     receiver, sweep the power knob, compare the PHY with the side channel
-    against the unmodified PHY.
+    against the unmodified PHY. Both arms draw their trials from the one
+    stream ``fig11-{mcs_name}``, so they see the same channel realisations
+    and the comparison isolates the phase injection.
     """
     base = link or LinkConfig(
         profile=FadingProfile(num_taps=2, ricean_k_db=15.0, coherence_time=np.inf),
@@ -319,7 +321,7 @@ def data_ber_with_side_channel(
     mcs = mcs_by_name(mcs_name)
     frame, _ = _make_frame(payload_bytes, mcs, crc_config, inject, cfg.seed)
     errors = _run_experiment(
-        trials, cfg, f"fig11-{mcs_name}-{inject}", frame,
+        trials, cfg, f"fig11-{mcs_name}", frame,
         np.zeros(0, dtype=np.uint8), mcs, crc_config, _data_errors, n_workers,
     )
     total = trials * frame.payload_bit_matrix.size

@@ -9,13 +9,6 @@ from repro.channel.fading import (
 )
 from repro.channel.model import ChannelModel, ChannelTrace
 from repro.channel.path_loss import LogDistancePathLoss, link_snr_db
-from repro.channel.statistics import (
-    empirical_pdp,
-    estimate_ricean_k,
-    level_crossing_rate,
-    realise_tap_series,
-    temporal_autocorrelation,
-)
 from repro.channel.power import POWER_MAGNITUDES, SNR_AT_UNIT_POWER_DB, snr_for_power
 
 __all__ = [
@@ -32,9 +25,4 @@ __all__ = [
     "POWER_MAGNITUDES",
     "SNR_AT_UNIT_POWER_DB",
     "snr_for_power",
-    "empirical_pdp",
-    "estimate_ricean_k",
-    "level_crossing_rate",
-    "realise_tap_series",
-    "temporal_autocorrelation",
 ]

@@ -138,7 +138,7 @@ def decode_subframe_symbols(
     if not use_rte:
         # The estimate never changes without RTE (CRC failures only bump a
         # counter), so the frame decodes as a stack of one.
-        bit_matrix, side_bits, crc_pass, phases, _ = (
+        bit_matrix, side_bits, crc_pass, phases = (
             decode_subframe_symbols_frozen_batch(
                 received[None], estimator.estimate[None], mcs,
                 first_pilot_index, np.array([reference_phase]), crc_config,
@@ -227,8 +227,8 @@ def decode_subframe_symbols_frozen_batch(
     symbols), so a traced decode runs exactly as a plain one.
 
     Returns:
-        (bit_matrix, side_bits, crc_pass, phases, equalized) — each the
-        per-trial result stacked along axis 0.
+        (bit_matrix, side_bits, crc_pass, phases) — each the per-trial
+        result stacked along axis 0.
     """
     scheme = crc_config.scheme
     estimates = np.asarray(channel_estimates, dtype=np.complex128)[:, None, :]
@@ -247,7 +247,7 @@ def decode_subframe_symbols_frozen_batch(
     )
 
     crc_pass = crc_config.check_groups_block(bit_matrix, side_bits)
-    return bit_matrix, side_bits, crc_pass, phases, equalized
+    return bit_matrix, side_bits, crc_pass, phases
 
 
 class CarpoolReceiver:

@@ -18,17 +18,10 @@ from repro.phy.constants import (
     USED_SUBCARRIER_INDICES,
     pilot_values,
 )
-from repro.phy.crc import crc1_bits, crc2_bits, crc8_bits, crc32, crc32_bits
+from repro.phy.crc import crc32
 from repro.phy.mcs import BASIC_MCS, MCS_TABLE, Mcs, mcs_by_name, mcs_by_rate_bits
 from repro.phy.modulation import BPSK, MODULATIONS, QAM16, QAM64, QPSK, Modulation, get_modulation
 from repro.phy.sig import SigDecodeError, SigField, decode_sig, encode_sig
-from repro.phy.timedomain import (
-    TimeDomainChannel,
-    coarse_cfo_estimate,
-    detect_frame,
-    frame_to_samples,
-    samples_to_symbols,
-)
 from repro.phy.transceiver import (
     PAYLOAD_SYMBOL_OFFSET,
     PREAMBLE_SYMBOLS,
@@ -55,10 +48,6 @@ __all__ = [
     "SYMBOL_DURATION_20MHZ",
     "pilot_values",
     "crc32",
-    "crc32_bits",
-    "crc8_bits",
-    "crc2_bits",
-    "crc1_bits",
     "Mcs",
     "MCS_TABLE",
     "BASIC_MCS",
@@ -82,9 +71,4 @@ __all__ = [
     "PREAMBLE_SYMBOLS",
     "SIG_SYMBOL_OFFSET",
     "PAYLOAD_SYMBOL_OFFSET",
-    "TimeDomainChannel",
-    "coarse_cfo_estimate",
-    "detect_frame",
-    "frame_to_samples",
-    "samples_to_symbols",
 ]

@@ -8,24 +8,21 @@ get zero metric for that position.
 
 Performance
 -----------
-This module is the hottest code in every Monte-Carlo BER sweep, so both
-directions are built as a fast path:
+The receiver decodes only short blocks with this code (the SIG and the
+A-HDR), so both directions are plain NumPy:
 
 * :func:`conv_encode` is fully vectorised: the code is linear, so each
   mother-code output bit is the XOR of a fixed set of shifted copies of
   the input — no per-bit Python loop.
 * :func:`viterbi_decode` precomputes *all* branch metrics for the whole
   frame in one vectorised pass (``(n_bits, 64)`` arrays), leaving only the
-  add-compare-select recurrence sequential; when a C compiler is available
-  the ACS loop itself runs in a small compiled kernel
-  (:mod:`repro.phy._viterbi_kernel`), which is ~30× faster again.
+  add-compare-select recurrence sequential.
 * Depuncture keep-masks are cached per ``(rate, n_bits)``.
 
-The original per-bit implementations are retained as
-:func:`conv_encode_reference` / :func:`viterbi_decode_reference`; property
-tests assert the fast paths are bit-exact against them (including the
-tie-breaking behaviour: on equal path metrics the first predecessor wins,
-and the untied traceback starts from the first minimum-metric state).
+The tests keep per-bit table-walk implementations of both directions as
+oracles and assert bit-exact agreement (including the tie-breaking
+behaviour: on equal path metrics the first predecessor wins, and the
+untied traceback starts from the first minimum-metric state).
 """
 
 from __future__ import annotations
@@ -35,8 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.phy import _viterbi_kernel
-
 __all__ = [
     "CodeRate",
     "RATE_1_2",
@@ -44,8 +39,6 @@ __all__ = [
     "RATE_3_4",
     "conv_encode",
     "viterbi_decode",
-    "conv_encode_reference",
-    "viterbi_decode_reference",
     "CONSTRAINT_LENGTH",
 ]
 
@@ -105,19 +98,12 @@ _PAIR_PATTERNS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
 _PREV_STATE_LIST = [tuple(int(x) for x in row) for row in _PREV_STATE]
 _PREV_BIT_LIST = [tuple(int(x) for x in row) for row in _PREV_BIT]
 
-# Contiguous tables in the layout the C kernel expects.
-_PREV_STATE_I32 = np.ascontiguousarray(_PREV_STATE, dtype=np.int32)
-_PREV_BIT_I32 = np.ascontiguousarray(_PREV_BIT, dtype=np.int32)
-_EDGE_PAIR_C = np.ascontiguousarray(_EDGE_PAIR)
-
 # Mother-code generator taps as shift offsets into a zero-padded input:
 # output bit i of generator g is the XOR of padded[p : p + n] over the set
 # bit positions p of g (position 6 = the newest input bit).
 _GENERATOR_TAPS = tuple(
     tuple(p for p in range(CONSTRAINT_LENGTH) if (g >> p) & 1) for g in (_G0, _G1)
 )
-
-_CKERNEL = _viterbi_kernel.load()
 
 
 @dataclass(frozen=True)
@@ -210,24 +196,6 @@ def conv_encode(bits: np.ndarray, rate: CodeRate = RATE_1_2) -> np.ndarray:
     return mother.reshape(-1)[kept]
 
 
-def conv_encode_reference(bits: np.ndarray, rate: CodeRate = RATE_1_2) -> np.ndarray:
-    """The original per-bit table-walk encoder (kept as a test oracle)."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    state = 0
-    mother = np.empty((bits.size, 2), dtype=np.uint8)
-    for i, bit in enumerate(bits):
-        mother[i, 0] = _OUTPUTS[state, bit, 0]
-        mother[i, 1] = _OUTPUTS[state, bit, 1]
-        state = _NEXT_STATE[state, bit]
-    period = rate.pattern.shape[1]
-    if bits.size % period != 0:
-        raise ValueError(
-            f"input length {bits.size} not a multiple of puncture period {period}"
-        )
-    keep = np.tile(rate.pattern.T, (bits.size // period, 1)).astype(bool)
-    return mother[keep.reshape(bits.size, 2)].reshape(-1)
-
-
 # ---------------------------------------------------------------------------
 # Decoder
 # ---------------------------------------------------------------------------
@@ -256,44 +224,15 @@ def viterbi_decode(
         terminated: If True, assume the encoder ended in state 0 (tail bits
             present) and force the traceback to start there.
 
-    Dispatches to the compiled ACS kernel when available, otherwise to the
-    vectorised NumPy implementation; both are bit-exact with
-    :func:`viterbi_decode_reference`.
+    All branch metrics are precomputed in one vectorised pass, so the only
+    sequential work is the add-compare-select recurrence (five small NumPy
+    calls per bit) and the integer traceback.
     """
-    coded = np.ascontiguousarray(coded, dtype=np.uint8)
+    coded = np.asarray(coded, dtype=np.uint8)
     expected = rate.coded_bits(data_bits)
     if coded.size != expected:
         raise ValueError(f"expected {expected} coded bits, got {coded.size}")
     grid, mask = _depuncture(coded, rate, data_bits)
-    if _CKERNEL is not None:
-        return _viterbi_decode_c(grid, mask, data_bits, terminated)
-    return _viterbi_decode_numpy(grid, mask, data_bits, terminated)
-
-
-def _viterbi_decode_c(grid, mask, data_bits, terminated):
-    survivors = np.empty((data_bits, _NUM_STATES), dtype=np.uint8)
-    decoded = np.empty(data_bits, dtype=np.uint8)
-    mask_u8 = np.ascontiguousarray(mask, dtype=np.uint8)
-    _CKERNEL(
-        np.ascontiguousarray(grid),
-        mask_u8,
-        data_bits,
-        _PREV_STATE_I32,
-        _PREV_BIT_I32,
-        _EDGE_PAIR_C,
-        int(bool(terminated)),
-        survivors,
-        decoded,
-    )
-    return decoded
-
-
-def _viterbi_decode_numpy(grid, mask, data_bits, terminated):
-    """Vectorised NumPy decoder: all branch metrics precomputed up front.
-
-    The only remaining sequential work is the add-compare-select recurrence
-    (five small NumPy calls per bit) and the integer traceback.
-    """
     # Pair costs: for every bit time, the hamming distance of the received
     # (possibly erased) pair against each of the four candidate outputs.
     cost = ((grid[:, None, :] != _PAIR_PATTERNS[None, :, :]) & mask[:, None, :]).sum(
@@ -324,51 +263,4 @@ def _viterbi_decode_numpy(grid, mask, data_bits, terminated):
         which = survivors[i, state]
         decoded[i] = _PREV_BIT_LIST[state][which]
         state = _PREV_STATE_LIST[state][which]
-    return decoded
-
-
-def viterbi_decode_reference(
-    coded: np.ndarray,
-    data_bits: int,
-    rate: CodeRate = RATE_1_2,
-    terminated: bool = True,
-) -> np.ndarray:
-    """The original per-bit decoder (kept as a bit-exactness test oracle)."""
-    coded = np.asarray(coded, dtype=np.uint8)
-    expected = rate.coded_bits(data_bits)
-    if coded.size != expected:
-        raise ValueError(f"expected {expected} coded bits, got {coded.size}")
-    grid, mask = _depuncture(coded, rate, data_bits)
-
-    inf = np.float64(1e18)
-    metrics = np.full(_NUM_STATES, inf)
-    metrics[0] = 0.0
-    survivors = np.empty((data_bits, _NUM_STATES), dtype=np.uint8)
-
-    # Branch metrics: hamming distance between received pair and the branch
-    # output, counting only non-erased positions.
-    prev0 = _PREV_STATE[:, 0]
-    prev1 = _PREV_STATE[:, 1]
-    bit0 = _PREV_BIT[:, 0]
-    bit1 = _PREV_BIT[:, 1]
-    out0 = _OUTPUTS[prev0, bit0]  # (64, 2) outputs along first predecessor
-    out1 = _OUTPUTS[prev1, bit1]
-
-    for i in range(data_bits):
-        rx = grid[i]
-        ok = mask[i]
-        bm0 = ((out0 != rx) & ok).sum(axis=1)
-        bm1 = ((out1 != rx) & ok).sum(axis=1)
-        cand0 = metrics[prev0] + bm0
-        cand1 = metrics[prev1] + bm1
-        choose1 = cand1 < cand0
-        metrics = np.where(choose1, cand1, cand0)
-        survivors[i] = choose1.astype(np.uint8)
-
-    state = 0 if terminated else int(np.argmin(metrics))
-    decoded = np.empty(data_bits, dtype=np.uint8)
-    for i in range(data_bits - 1, -1, -1):
-        which = survivors[i, state]
-        decoded[i] = _PREV_BIT[state, which]
-        state = _PREV_STATE[state, which]
     return decoded

@@ -1,13 +1,12 @@
 """CRC generators used across the frame formats.
 
-* CRC-32 — the 802.11 frame check sequence appended to MAC payloads.
-* CRC-8  — used by tests and the A-HDR integrity variant.
-* CRC-2 / CRC-1 — the tiny per-symbol checksums Carpool carries in the
-  phase-offset side channel (paper §5.2: a 2-bit CRC per OFDM symbol gives
-  the best reliability/granularity trade-off).
-
-All CRCs here except :func:`crc32` (which takes bytes) operate on 0/1 bit
-arrays so they compose directly with the PHY bit pipeline.
+* CRC-32 — the 802.11 frame check sequence appended to MAC payloads
+  (:func:`crc32`, over bytes).
+* The tiny per-symbol checksums Carpool carries in the phase-offset side
+  channel (paper §5.2: a 2-bit CRC per OFDM symbol gives the best
+  reliability/granularity trade-off): :func:`crc_bits` and its batched
+  form :func:`crc_contribution_table`, which operate on 0/1 bit arrays so
+  they compose directly with the PHY bit pipeline.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ import numpy as np
 __all__ = [
     "crc_bits",
     "crc_contribution_table",
-    "crc32_bits",
-    "crc8_bits",
-    "crc2_bits",
-    "crc1_bits",
     "crc32",
 ]
 
@@ -85,47 +80,10 @@ def crc_contribution_table(length: int, poly: int, width: int) -> np.ndarray:
     return _contribution_cached(int(length), int(poly), int(width))
 
 
-def _reflect(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
-
-def crc32_bits(bits: np.ndarray) -> int:
-    """CRC-32 over a byte-aligned bit array — the 802.11/Ethernet FCS.
-
-    Uses the standard *reflected* convention (bits of each byte processed
-    LSB first, output bit-reversed), matching ``binascii.crc32``.
-    """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % 8 != 0:
-        raise ValueError("CRC-32 input must be byte-aligned")
-    reflected = bits.reshape(-1, 8)[:, ::-1].reshape(-1)
-    register = crc_bits(reflected, poly=0x04C11DB7, width=32, init=0xFFFFFFFF)
-    return _reflect(register, 32) ^ 0xFFFFFFFF
-
-
 def crc32(data: bytes) -> int:
     """CRC-32 over bytes — the 802.11 FCS.
 
-    The stdlib's table-driven CRC-32; :func:`crc32_bits` is the bit-level
-    oracle it is tested against.
+    The stdlib's table-driven CRC-32; the tests check it against a
+    bit-level oracle built on :func:`crc_bits`.
     """
     return zlib.crc32(data)
-
-
-def crc8_bits(bits: np.ndarray) -> int:
-    """CRC-8 with polynomial x^8 + x^2 + x + 1 (0x07)."""
-    return crc_bits(bits, poly=0x07, width=8)
-
-
-def crc2_bits(bits: np.ndarray) -> int:
-    """CRC-2 with polynomial x^2 + x + 1 (0x3) — Carpool's per-symbol checksum."""
-    return crc_bits(bits, poly=0x3, width=2)
-
-
-def crc1_bits(bits: np.ndarray) -> int:
-    """CRC-1: plain parity — the 1-bit side-channel variant."""
-    return int(np.asarray(bits, dtype=np.uint8).sum() & 1)

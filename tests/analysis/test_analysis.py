@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import phy_experiments
 from repro.analysis import (
     LinkConfig,
     ber_by_symbol_index,
@@ -55,6 +56,22 @@ class TestPhyExperiments:
         without = data_ber_with_side_channel("QPSK-1/2", 0.2, trials=3,
                                              inject=False, link=CLEAN)
         assert with_sc == pytest.approx(without, abs=1e-3)
+
+    def test_side_channel_arms_share_channel_draws(self, monkeypatch):
+        """Fig. 11's two arms must decode over the same channel
+        realisations, so both must draw from one trial stream."""
+        streams = []
+
+        def capture(trials, link, stream_name, *args, **kwargs):
+            streams.append(stream_name)
+            return [0] * trials
+
+        monkeypatch.setattr(phy_experiments, "_run_experiment", capture)
+        for inject in (True, False):
+            data_ber_with_side_channel("QPSK-1/2", 0.2, trials=1,
+                                       payload_bytes=300, inject=inject)
+        assert len(streams) == 2
+        assert streams[0] == streams[1]
 
     def test_side_channel_clean(self):
         side, data = side_channel_vs_data_ber(2, 0.2, trials=3, link=CLEAN)

@@ -158,9 +158,9 @@ PINS = {
     "carpool-frozen-hard":
         "6a386d263db38457cd6fe827bbf16329bbb278ead24823a80d1fda9bc8eecc2f",
     "data-ber-inject-False":
-        "b0547a357e6976aa9661932b49460ca5fa8952fff06d43f0dfe0e4770e5a4fc8",
+        "bca55e0071984f54f026e5ff1cb1c0f440bf60740ef6676c6f1ebbb321a4db0c",
     "data-ber-inject-True":
-        "badf7aeef5038143a34acf0e3ffad6068da8053d4c117ff662b19c65ba7c9fbb",
+        "063123eeea921fdd7aaf7651b1a29dc7f30b3e15c0d2f09283b20521ac9cd3a9",
     "mu-mimo":
         "bc6cbc2fd5125fbd1c4d2913a216457a7dd4313f2a756cf78a810f4cdb6934a1",
     "phy-receiver":

@@ -5,8 +5,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.phy.crc import crc1_bits, crc2_bits, crc8_bits, crc32, crc32_bits
+from repro.phy.crc import crc32, crc_bits
 from repro.util.bits import bytes_to_bits
+
+
+def _reflect(value: int, width: int) -> int:
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (value & 1)
+        value >>= 1
+    return out
+
+
+def crc32_bits(bits: np.ndarray) -> int:
+    """CRC-32 over a byte-aligned bit array — the 802.11/Ethernet FCS.
+
+    Uses the standard *reflected* convention (bits of each byte processed
+    LSB first, output bit-reversed), matching ``binascii.crc32``.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.size % 8 != 0:
+        raise ValueError("CRC-32 input must be byte-aligned")
+    reflected = bits.reshape(-1, 8)[:, ::-1].reshape(-1)
+    register = crc_bits(reflected, poly=0x04C11DB7, width=32, init=0xFFFFFFFF)
+    return _reflect(register, 32) ^ 0xFFFFFFFF
+
+
+def crc8_bits(bits: np.ndarray) -> int:
+    """CRC-8 with polynomial x^8 + x^2 + x + 1 (0x07)."""
+    return crc_bits(bits, poly=0x07, width=8)
+
+
+def crc2_bits(bits: np.ndarray) -> int:
+    """CRC-2 with polynomial x^2 + x + 1 (0x3) — Carpool's per-symbol checksum."""
+    return crc_bits(bits, poly=0x3, width=2)
+
+
+def crc1_bits(bits: np.ndarray) -> int:
+    """CRC-1: plain parity — the 1-bit side-channel variant."""
+    return int(np.asarray(bits, dtype=np.uint8).sum() & 1)
 
 
 class TestCrc32:

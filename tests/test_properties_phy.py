@@ -10,7 +10,6 @@ from repro.core.frame import CarpoolTransmitter, SubframeSpec
 from repro.core.mac_address import MacAddress
 from repro.phy import MCS_TABLE, PhyTransmitter
 from repro.phy.mimo import MimoChannel, zero_forcing_precoder
-from repro.phy.timedomain import TimeDomainChannel, detect_frame, frame_to_samples
 from repro.util.rng import RngStream
 
 
@@ -33,20 +32,6 @@ class TestClassificationProperty:
         ]
         frame = CarpoolTransmitter().build_frame(specs)
         assert classify_frame(frame.symbols) is FrameFormat.CARPOOL
-
-
-class TestSynchronizationProperty:
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 600), st.integers(0, 2**16))
-    def test_detection_within_cp_for_any_delay(self, delay, seed):
-        frame = PhyTransmitter(MCS_TABLE[2]).build_frame(b"sync" * 30)
-        channel = TimeDomainChannel(taps=np.array([1.0]), snr_db=22.0,
-                                    delay_samples=delay)
-        samples = channel.transmit(frame_to_samples(frame.symbols),
-                                   RngStream(seed).child("n"))
-        start = detect_frame(samples)
-        assert start is not None
-        assert abs(start - delay) <= 12
 
 
 class TestZeroForcingProperty:
